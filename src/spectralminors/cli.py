@@ -126,6 +126,10 @@ def _default_jobs(flag: int | None) -> int:
     return os.cpu_count() or 1
 
 
+_TOL_HELP = ("power iteration stops when the eigen-residual |Ax - lambda x| is at most "
+             "tol * max(1, lambda) (default: %(default)s)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sml",
@@ -139,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lambda", help="spectral radius")
     p.add_argument("graph", help="graph6, name, or - for stdin")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=1e-10, help=_TOL_HELP)
     p.add_argument("--full", action="store_true",
                    help="also print vector, residual, iterations, lambda/sqrt(n)")
 
@@ -169,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="write to this path instead of stdout")
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes (SML_THREADS overrides; default: cpu count)")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=1e-10, help=_TOL_HELP)
 
     p = sub.add_parser("verify", help="membership report for one graph")
     _add_family_flags(p)

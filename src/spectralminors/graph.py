@@ -13,6 +13,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 # Largest vertex count representable by the 3-byte graph6 length escape.
 MAX_VERTICES = 258047
 
@@ -148,6 +150,21 @@ class Graph:
 # graph6 codec
 
 
+def _bit_matrix(rows, n: int) -> np.ndarray:
+    """The bitmask rows as a len(rows) x n uint8 0/1 array: entry [u, v] is
+    bit v of rows[u]."""
+    nb = (n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(nb, "little") for r in rows), np.uint8)
+    return np.unpackbits(packed.reshape(len(rows), nb), axis=1, count=n, bitorder="little")
+
+
+def _graph6_triangle(n: int) -> np.ndarray:
+    # graph6 lists the upper triangle column by column; column j is the low j
+    # bits of row j, so the strict lower triangle read row-major is the same
+    # bit sequence.
+    return np.tri(n, k=-1, dtype=bool)
+
+
 def parse_graph6(text) -> Graph:
     """Decode one graph6 string (str or ASCII bytes) into a Graph.
 
@@ -168,14 +185,13 @@ def parse_graph6(text) -> Graph:
         s = s[len(_G6_HEADER):]
     if not s:
         raise ValueError("empty graph6 string")
-    vals = []
-    for c in s:
-        o = ord(c)
-        if o < 63 or o > 126:
-            raise ValueError(f"character {c!r} outside graph6 range")
-        vals.append(o - 63)
+    codes = np.frombuffer(s.encode("utf-32-le"), np.uint32)
+    bad = np.flatnonzero((codes < 63) | (codes > 126))
+    if bad.size:
+        raise ValueError(f"character {s[bad[0]]!r} outside graph6 range")
+    vals = (codes - 63).astype(np.uint8)
     if vals[0] < 63:
-        n = vals[0]
+        n = int(vals[0])
         body = vals[1:]
     else:
         if len(vals) < 4:
@@ -183,7 +199,7 @@ def parse_graph6(text) -> Graph:
         if vals[1] == 63:
             raise ValueError(
                 f"graph6 long-form length exceeds the {MAX_VERTICES}-vertex limit")
-        n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
+        n = int(vals[1]) << 12 | int(vals[2]) << 6 | int(vals[3])
         body = vals[4:]
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
@@ -191,39 +207,29 @@ def parse_graph6(text) -> Graph:
         raise ValueError(f"truncated graph6 edge section: {len(body)} of {need} bytes")
     if len(body) > need:
         raise ValueError(f"trailing data after graph6 edge section")
-    rows = [0] * n
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if body[k // 6] >> (5 - k % 6) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            k += 1
-    return Graph(n, tuple(rows))
+    bits = np.unpackbits(body << 2).reshape(-1, 8)[:, :6].ravel()[:nbits]
+    adj = np.zeros((n, n), np.uint8)
+    adj[_graph6_triangle(n)] = bits
+    adj |= adj.T
+    nb = (n + 7) // 8
+    packed = np.packbits(adj, axis=1, bitorder="little").tobytes()
+    return Graph(n, tuple(int.from_bytes(packed[v * nb:(v + 1) * nb], "little")
+                          for v in range(n)))
 
 
 def encode_graph6(g: Graph) -> str:
     """Encode a Graph as a graph6 string (no header, no newline)."""
     n = g.n
     if n <= 62:
-        out = [n + 63]
+        head = [n + 63]
     elif n <= MAX_VERTICES:
-        out = [126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
+        head = [126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
     else:
         raise ValueError(f"vertex count {n} exceeds graph6 limit {MAX_VERTICES}")
-    acc = 0
-    filled = 0
-    for j in range(1, n):
-        for i in range(j):
-            acc = acc << 1 | (g.rows[i] >> j & 1)
-            filled += 1
-            if filled == 6:
-                out.append(acc + 63)
-                acc = 0
-                filled = 0
-    if filled:
-        out.append((acc << (6 - filled)) + 63)
-    return "".join(chr(c) for c in out)
+    bits = _bit_matrix(g.rows, n)[_graph6_triangle(n)]
+    bits = np.concatenate([bits, np.zeros(-len(bits) % 6, np.uint8)])
+    body = (np.packbits(bits.reshape(-1, 6), axis=1)[:, 0] >> 2) + 63
+    return bytes(head).decode("ascii") + body.tobytes().decode("ascii")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Bitmask graph core: graph6 codec, constructions, surgery, recognition."""
 
 import random
+import re
 
 import pytest
 
@@ -162,6 +163,41 @@ def test_graph6_matches_networkx():
         expected = nx.to_graph6_bytes(ng, header=False).decode().strip()
         assert encode_graph6(g) == expected
         assert parse_graph6(expected) == g
+
+
+def test_graph6_matches_networkx_all_orders():
+    # n = 0..70 crosses the 62/63 switch to the long-form length; 300 and
+    # 2005 are the sizes of the large extremal constructions
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2005)
+    cases = [(n, p) for n in [*range(71), 300] for p in (rng.random(), rng.random() * 0.05)]
+    for n, p in cases + [(2005, 0.01)]:
+        ng = nx.fast_gnp_random_graph(n, p, seed=rng.randrange(1 << 30))
+        g = Graph.from_edges(n, ng.edges())
+        expected = nx.to_graph6_bytes(ng, header=False).decode().strip()
+        text = encode_graph6(g)
+        assert text == expected
+        assert parse_graph6(expected) == g
+        back = nx.from_graph6_bytes(text.encode())
+        assert back.number_of_nodes() == n
+        assert {tuple(sorted(e)) for e in back.edges()} == edge_set(g)
+
+
+def test_graph6_malformed_messages():
+    with pytest.raises(ValueError, match="outside graph6 range"):
+        parse_graph6("A\u00e9")
+    with pytest.raises(ValueError, match=re.escape("character '\\x14' outside")):
+        parse_graph6("A_" + chr(20))
+    with pytest.raises(ValueError, match="not ASCII"):
+        parse_graph6(b"A\xff")
+    with pytest.raises(ValueError, match="truncated graph6 length escape"):
+        parse_graph6("~??")
+    with pytest.raises(ValueError, match="exceeds the 258047-vertex limit"):
+        parse_graph6("~~" + "?" * 10)
+    with pytest.raises(ValueError, match="empty"):
+        parse_graph6(">>graph6<<\n")
+    with pytest.raises(ValueError, match="truncated graph6 edge section: 0 of 369 bytes"):
+        parse_graph6("~?@B")
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from spectralminors import (
+    ConvergenceError,
     QuotientMatrix,
     check_interlacing_bound,
     complete,
@@ -23,6 +25,7 @@ from spectralminors import (
     rayleigh_delta,
     spectral_radius,
 )
+from spectralminors import spectral
 from spectralminors.graph import Graph
 
 from helpers import random_graph
@@ -121,6 +124,82 @@ def test_errors():
         spectral_radius(Graph.empty(0))
     with pytest.raises(ValueError):
         spectral_radius(complete(3), tol=0.0)
+
+
+def assert_relative_residual(res):
+    assert res.residual <= 1e-12 * max(1.0, res.lam)
+
+
+def test_long_path_closed_form():
+    # P1000 has spectral gap ~1e-5: past 1000 power iterations the solve
+    # finishes from a dense eigh seed
+    res = spectral_radius(path(1000))
+    assert res.lam == pytest.approx(2.0 * math.cos(math.pi / 1001), rel=1e-12, abs=0.0)
+    assert_relative_residual(res)
+
+
+def test_large_join_closed_form():
+    # lambda ~ 292: an absolute 1e-12 residual is below the rounding error of
+    # the product, the relative rule stops in about a hundred iterations
+    res = spectral_radius(construct_kr_extremal(2000, 40))
+    expected = quotient_bound(QuotientMatrix(37, 0, 38, 1962))
+    assert res.lam == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert_relative_residual(res)
+
+
+def test_matches_eigvalsh_on_unions():
+    rng = random.Random(1729)
+    slow = [path(rng.randint(50, 400)) for _ in range(3)]
+    slow += [cycle(rng.randint(50, 400)), complete_bipartite(3, 40)]
+    for trial in range(24):
+        parts = [random_graph(rng, rng.randint(1, 9), rng.random())
+                 for _ in range(rng.randint(1, 4))]
+        parts += [independent(rng.randint(0, 3)), rng.choice(slow)]
+        if trial % 3 == 0:
+            parts.append(join(complete(rng.randint(1, 4)), path(rng.randint(2, 60))))
+        g = disjoint_union(*parts)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        g = g.relabel(perm)
+        res = spectral_radius(g)
+        adj = np.zeros((g.n, g.n))
+        for u, v in g.edges():
+            adj[u, v] = adj[v, u] = 1.0
+        comp_lams = [float(np.linalg.eigvalsh(adj[np.ix_(c, c)])[-1]) for c in g.components()]
+        top = max(comp_lams)
+        assert res.lam == pytest.approx(top, rel=1e-12, abs=1e-12)
+        assert_relative_residual(res)
+        # the lowest-indexed component attaining the maximum carries the vector
+        winner = next(c for c, lam in zip(g.components(), comp_lams)
+                      if lam >= top - 1e-9)
+        support = [v for v in range(g.n) if res.vector[v] != 0.0]
+        assert support == list(winner)
+        assert all(x >= 0.0 for x in res.vector)
+        assert max(res.vector) == 1.0 and res.vector[res.max_vertex] == 1.0
+        if len(winner) > 1:
+            assert res.iterations >= 1
+
+
+def test_dense_seed_switch_and_ties():
+    # a path stalls and switches to the eigh seed after k iterations
+    res = spectral_radius(path(200))
+    assert 200 < res.iterations <= 210
+    assert_relative_residual(res)
+    # equal components: the first copy wins, bit for bit the same solve
+    for part in (path(120), complete_bipartite(2, 7), cycle(9)):
+        g = disjoint_union(part, independent(2), part)
+        res = spectral_radius(g)
+        alone = spectral_radius(part)
+        assert res.lam == alone.lam and res.iterations == alone.iterations
+        assert res.vector[:part.n] == alone.vector
+        assert not any(res.vector[part.n:])
+
+
+def test_convergence_error_names_the_component(monkeypatch):
+    monkeypatch.setattr(spectral, "ITERATION_CAP", 5)
+    with pytest.raises(ConvergenceError, match=r"50-vertex component.*last lambda .*"
+                       r"residual .* > tol\*max\(1, lambda\)"):
+        spectral_radius(disjoint_union(complete(3), path(50)))
 
 
 # ---------------------------------------------------------------------------
