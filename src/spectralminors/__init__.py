@@ -46,9 +46,7 @@ from .graph import (
 )
 from .minors import (
     ForbiddenFamily,
-    HypothesisViolation,
     MinorWitness,
-    clique_completion_safe,
     delta_to_y,
     delta_y_closure,
     has_minor,
@@ -64,16 +62,16 @@ from .minors import (
     y_to_delta,
 )
 from .search import (
+    HypothesisViolation,
     MembershipReport,
     SearchReport,
+    clique_completion_safe,
     enumerate_graphs,
     family_filter,
     ingest_graph6_stream,
     report_to_json,
     reports_to_csv,
     scan_family,
-    search_max_edges,
-    search_max_lambda,
     verify_membership,
 )
 from .spectral import (

@@ -18,6 +18,7 @@ answer is a success), 1 on domain errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import re
@@ -274,8 +275,6 @@ def _cmd_verify(args) -> int:
     family = args._family
     rep = verify_membership(g, family)
     if args.format == "json":
-        import json
-
         payload = {
             "member": rep.member,
             "lambda": rep.lam,

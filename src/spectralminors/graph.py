@@ -9,7 +9,6 @@ same representation covers every size up to the graph6 long-form limit.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,6 +26,23 @@ def _bits(mask: int):
         b = mask & -mask
         yield b.bit_length() - 1
         mask ^= b
+
+
+def _components(rows, mask: int) -> list[int]:
+    """Connected components of the subgraph induced on the vertex set mask,
+    as bitmasks ordered by least vertex."""
+    comps = []
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            nxt = 0
+            for v in _bits(frontier):
+                nxt |= rows[v]
+            frontier = nxt & mask & ~comp
+            comp |= frontier
+        comps.append(comp)
+        mask &= ~comp
+    return comps
 
 
 @dataclass(frozen=True)
@@ -104,20 +120,7 @@ class Graph:
 
     def component_masks(self) -> list[int]:
         """Connected components as vertex bitmasks, ordered by least vertex."""
-        comps = []
-        rem = (1 << self.n) - 1
-        while rem:
-            comp = rem & -rem
-            frontier = comp
-            while frontier:
-                nxt = 0
-                for v in _bits(frontier):
-                    nxt |= self.rows[v]
-                frontier = nxt & rem & ~comp
-                comp |= frontier
-            comps.append(comp)
-            rem &= ~comp
-        return comps
+        return _components(self.rows, (1 << self.n) - 1)
 
     def components(self) -> list[tuple[int, ...]]:
         return [tuple(_bits(m)) for m in self.component_masks()]
@@ -396,15 +399,6 @@ class ResidualShape:
     clique_size: int | None = None
 
 
-def _component_graphs(g: Graph) -> list[Graph]:
-    return [g.induced_subgraph(_bits(m)) for m in g.component_masks()]
-
-
-def _is_path_graph(g: Graph) -> bool:
-    # Connected, acyclic, max degree <= 2. A single vertex counts.
-    return g.is_connected() and g.edge_count == g.n - 1 and g.max_degree() <= 2
-
-
 def is_path_union(g: Graph) -> bool:
     """True iff every component is a path (isolated vertices included)."""
     return g.max_degree() <= 2 and g.edge_count == g.n - len(g.component_masks())
@@ -416,11 +410,13 @@ def recognize_residual(h: Graph) -> ResidualShape:
     paths so that a perfect matching reads as copies of K_2."""
     if h.edge_count == 0:
         return ResidualShape("independent")
-    comps = _component_graphs(h)
-    sizes = {c.n for c in comps}
-    if len(sizes) == 1 and all(c.edge_count == c.n * (c.n - 1) // 2 for c in comps):
-        return ResidualShape("disjoint_cliques", clique_size=comps[0].n)
-    if all(_is_path_graph(c) for c in comps):
+    comps = h.component_masks()
+    k = comps[0].bit_count()
+    # k-vertex components hold at most C(k, 2) edges each, so the total
+    # reaches len(comps) * C(k, 2) only when every one is a clique
+    if all(c.bit_count() == k for c in comps) and h.edge_count == len(comps) * k * (k - 1) // 2:
+        return ResidualShape("disjoint_cliques", clique_size=k)
+    if is_path_union(h):
         return ResidualShape("disjoint_paths")
     return ResidualShape("other")
 

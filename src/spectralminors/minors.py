@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .canon import canonical_key
-from .graph import Graph, _bits, complete, complete_bipartite, delete_vertex
+from .graph import Graph, _bits, _components, complete, complete_bipartite, delete_vertex
 
 
 @dataclass(frozen=True)
@@ -57,15 +57,7 @@ def verify_witness(h: Graph, g: Graph, w: MinorWitness) -> bool:
         used |= m
         masks.append(m)
     for m in masks:
-        comp = m & -m
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= g.rows[v]
-            frontier = nxt & m & ~comp
-            comp |= frontier
-        if comp != m:
+        if len(_components(g.rows, m)) != 1:
             return False
     for a, b in h.edges():
         nb = 0
@@ -82,35 +74,6 @@ def verify_witness(h: Graph, g: Graph, w: MinorWitness) -> bool:
 
 def _mask_edges(rows, act: int) -> int:
     return sum((rows[v] & act).bit_count() for v in _bits(act)) // 2
-
-
-def _mask_components(rows, mask: int) -> list[int]:
-    comps = []
-    rem = mask
-    while rem:
-        comp = rem & -rem
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= rows[v]
-            frontier = nxt & rem & ~comp
-            comp |= frontier
-        comps.append(comp)
-        rem &= ~comp
-    return comps
-
-
-def _induced(rows, mask: int) -> Graph:
-    vs = list(_bits(mask))
-    pos = {v: i for i, v in enumerate(vs)}
-    out = []
-    for v in vs:
-        r = 0
-        for u in _bits(rows[v] & mask):
-            r |= 1 << pos[u]
-        out.append(r)
-    return Graph(len(vs), tuple(out))
 
 
 def _twin_cap(g_rows, g_act: int, cap: int) -> int:
@@ -140,56 +103,28 @@ def _backtrack(h_rows, h_act: int, g_rows, g_act: int):
     earlier = []
     for i, v in enumerate(hvs):
         earlier.append(sorted(hpos[u] for u in _bits(h_rows[v] & h_act) if hpos[u] < i))
+    # needs[i]: for each component Q of H on the unplaced vertices hvs[i:],
+    # its size and the placed positions j < i adjacent to it.
+    needs = []
+    for i in range(hn + 1):
+        rest = sum(1 << v for v in hvs[i:])
+        needs.append([
+            (q.bit_count(), sorted({j for v in _bits(q) for j in earlier[hpos[v]] if j < i}))
+            for q in _components(h_rows, rest)
+        ])
     blocks = [0] * hn
     nbhd = [0] * hn
-
-    def h_components(start: int) -> list[int]:
-        vs_mask = 0
-        for i in range(start, hn):
-            vs_mask |= 1 << hvs[i]
-        comps = []
-        rem = vs_mask
-        while rem:
-            comp = rem & -rem
-            frontier = comp
-            while frontier:
-                nxt = 0
-                for v in _bits(frontier):
-                    nxt |= h_rows[v]
-                frontier = nxt & rem & ~comp
-                comp |= frontier
-            comps.append(comp)
-            rem &= ~comp
-        return comps
 
     def feasible(i: int, free: int) -> bool:
         # Necessary condition: every component Q of H restricted to the
         # unplaced vertices must fit inside a single component C of G[free]
         # (adjacent branch sets meet, so Q's sets land in one component), and
         # C must touch the neighborhood of every placed set Q is adjacent to.
-        if i == hn:
-            return True
-        gcomps = _mask_components(g_rows, free)
-        for q in h_components(i):
-            qsize = q.bit_count()
-            ok = False
-            for c in gcomps:
-                if c.bit_count() < qsize:
-                    continue
-                good = True
-                for v in _bits(q):
-                    for j in earlier[hpos[v]]:
-                        if j < i and not nbhd[j] & c:
-                            good = False
-                            break
-                    if not good:
-                        break
-                if good:
-                    ok = True
-                    break
-            if not ok:
-                return False
-        return True
+        gcomps = _components(g_rows, free)
+        return all(
+            any(c.bit_count() >= size and all(nbhd[j] & c for j in js) for c in gcomps)
+            for size, js in needs[i]
+        )
 
     def candidates(free: int, cap: int, reqs):
         # Connected subsets of free with at most cap vertices meeting every
@@ -248,14 +183,14 @@ def _backtrack(h_rows, h_act: int, g_rows, g_act: int):
     return None
 
 
-def _search(h_rows, h_act: int, g_rows, g_act: int):
+def _search(h: Graph, h_act: int, g_rows, g_act: int):
     hn = h_act.bit_count()
     if hn == 0:
         return {}
     gn = g_act.bit_count()
     if hn > gn:
         return None
-    if _mask_edges(h_rows, h_act) > _mask_edges(g_rows, g_act):
+    if _mask_edges(h.rows, h_act) > _mask_edges(g_rows, g_act):
         return None
     g_act = _twin_cap(g_rows, g_act, hn)
     gn = g_act.bit_count()
@@ -269,16 +204,16 @@ def _search(h_rows, h_act: int, g_rows, g_act: int):
             seen = set()
             for v in _bits(h_act):
                 hm = h_act ^ (1 << v)
-                key = canonical_key(_induced(h_rows, hm))
+                key = canonical_key(h.induced_subgraph(_bits(hm)))
                 if key in seen:
                     continue
                 seen.add(key)
-                sub = _search(h_rows, hm, g_rows, gm)
+                sub = _search(h, hm, g_rows, gm)
                 if sub is not None:
                     sub[v] = 1 << u
                     return sub
-            return _search(h_rows, h_act, g_rows, gm)
-    return _backtrack(h_rows, h_act, g_rows, g_act)
+            return _search(h, h_act, g_rows, gm)
+    return _backtrack(h.rows, h_act, g_rows, g_act)
 
 
 def has_minor(h: Graph, g: Graph) -> MinorWitness | None:
@@ -287,11 +222,12 @@ def has_minor(h: Graph, g: Graph) -> MinorWitness | None:
     verify_witness."""
     if h.n == 0:
         return MinorWitness(())
-    sol = _search(h.rows, (1 << h.n) - 1, g.rows, (1 << g.n) - 1)
+    sol = _search(h, (1 << h.n) - 1, g.rows, (1 << g.n) - 1)
     if sol is None:
         return None
     w = MinorWitness(tuple(frozenset(_bits(sol[v])) for v in range(h.n)))
-    assert verify_witness(h, g, w), "internal: search produced an invalid witness"
+    if not verify_witness(h, g, w):
+        raise RuntimeError("internal: search produced an invalid witness")
     return w
 
 
@@ -410,66 +346,7 @@ def is_linkless(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Clique completion and the star-free edge bound
-
-
-class HypothesisViolation(ValueError):
-    """A verified precondition of a completion check failed. Distinct from the
-    check returning False, which means the hypotheses held but the completed
-    graph left the family."""
-
-
-def _family_member(g: Graph, family) -> bool:
-    if family.kind == "kr":
-        return has_minor(complete(family.r), g) is None
-    if family.kind == "kst":
-        return has_minor(complete_bipartite(family.s, family.t), g) is None
-    from .cdv import classify_mu  # deferred, cdv sits above this module
-
-    return classify_mu(g).value <= family.m
-
-
-def clique_completion_safe(g: Graph, K, family) -> bool:
-    """Complete the vertex set K to a clique and report whether the result
-    still belongs to the family.
-
-    Verified hypotheses (HypothesisViolation when broken): g is a family
-    member; |K| matches the family's apex size (r-2, s-1, or m-1); the common
-    neighborhood T of K outside K is large enough, max(r+1, C(r-2,2)+3) for
-    the K_r family and C(|K|,2)+1 for the others.
-    """
-    ks = sorted(set(K))
-    for v in ks:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-    if not _family_member(g, family):
-        raise HypothesisViolation("graph is not a member of the family")
-    kind = family.kind
-    if kind == "kr":
-        want, a = family.r - 2, family.r - 2
-        need_t = max(family.r + 1, a * (a - 1) // 2 + 3)
-    elif kind == "kst":
-        want = family.s - 1
-        need_t = want * (want - 1) // 2 + 1
-    else:
-        want = family.m - 1
-        need_t = want * (want - 1) // 2 + 1
-    if len(ks) != want:
-        raise HypothesisViolation(
-            f"|K|={len(ks)} does not match the family apex size {want}")
-    common = (1 << g.n) - 1
-    for v in ks:
-        common &= g.rows[v]
-    for v in ks:
-        common &= ~(1 << v)
-    if common.bit_count() < need_t:
-        raise HypothesisViolation(
-            f"common neighborhood has {common.bit_count()} vertices, need {need_t}")
-    g2 = g
-    for i, u in enumerate(ks):
-        for v in ks[i + 1:]:
-            g2 = g2.with_edge(u, v)
-    return _family_member(g2, family)
+# The star-free edge bound
 
 
 def max_degree_residual_bound(h: Graph, t: int) -> bool:

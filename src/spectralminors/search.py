@@ -5,10 +5,14 @@ construction.
 
 Enumeration is exact up to 7 vertices (one representative per isomorphism
 class, grown by vertex augmentation with canonical-form deduplication).
-Larger orders come in as graph6 streams. Scans can run on a process pool;
-chunking is fixed (64 graphs) and the per-chunk results merge with
-deterministic tie-breaking (lexicographically least graph6 string), so output
-is byte-identical at any parallelism degree.
+Larger orders come in as graph6 streams. Scans can run on a process pool of
+at most min(jobs, CPU count, chunks) workers; chunking is fixed (64 graphs)
+and one fold combines graphs into chunk tallies and chunk tallies into the
+report, with deterministic tie-breaking (lexicographically least graph6
+string), so output is byte-identical at any parallelism degree.
+
+family_filter is the family-membership predicate; clique_completion_safe
+checks its member hypothesis and its answer through it.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ import csv
 import io
 import json
 import multiprocessing
+import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Iterator
 
 from .cdv import classify_mu
@@ -95,6 +100,55 @@ def family_filter(family: FamilySpec, g: Graph) -> bool:
     return has_minor(family.forbidden_minor(), g) is None
 
 
+class HypothesisViolation(ValueError):
+    """A verified precondition of a completion check failed. Distinct from the
+    check returning False, which means the hypotheses held but the completed
+    graph left the family."""
+
+
+def clique_completion_safe(g: Graph, K, family: FamilySpec) -> bool:
+    """Complete the vertex set K to a clique and report whether the result
+    still belongs to the family.
+
+    Verified hypotheses (HypothesisViolation when broken): g is a family
+    member; |K| matches the family's apex size (r-2, s-1, or m-1); the common
+    neighborhood T of K outside K is large enough, max(r+1, C(r-2,2)+3) for
+    the K_r family and C(|K|,2)+1 for the others.
+    """
+    ks = sorted(set(K))
+    for v in ks:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
+    if not family_filter(family, g):
+        raise HypothesisViolation("graph is not a member of the family")
+    kind = family.kind
+    if kind == "kr":
+        want, a = family.r - 2, family.r - 2
+        need_t = max(family.r + 1, a * (a - 1) // 2 + 3)
+    elif kind == "kst":
+        want = family.s - 1
+        need_t = want * (want - 1) // 2 + 1
+    else:
+        want = family.m - 1
+        need_t = want * (want - 1) // 2 + 1
+    if len(ks) != want:
+        raise HypothesisViolation(
+            f"|K|={len(ks)} does not match the family apex size {want}")
+    common = (1 << g.n) - 1
+    for v in ks:
+        common &= g.rows[v]
+    for v in ks:
+        common &= ~(1 << v)
+    if common.bit_count() < need_t:
+        raise HypothesisViolation(
+            f"common neighborhood has {common.bit_count()} vertices, need {need_t}")
+    g2 = g
+    for i, u in enumerate(ks):
+        for v in ks[i + 1:]:
+            g2 = g2.with_edge(u, v)
+    return family_filter(family, g2)
+
+
 @dataclass(frozen=True)
 class MembershipReport:
     """verify_membership output: membership, spectral radius, the applicable
@@ -166,54 +220,39 @@ class SearchReport:
     graphs_scanned: int
 
 
+# A scan tally: (graphs scanned, members, max lambda, its graph6, max edges,
+# its graph6, bound violations); None marks a maximum with no member yet.
+_EMPTY = (0, 0, None, None, None, None, 0)
+
+
+def _fold(acc, part):
+    """Combine two tallies: counts add, and each maximum keeps the larger
+    value, ties going to the least graph6 string."""
+    cnt, mem, lam, lam_g6, e, e_g6, vio = acc
+    p_cnt, p_mem, p_lam, p_lam_g6, p_e, p_e_g6, p_vio = part
+    if p_lam is not None and (lam is None or p_lam > lam or (p_lam == lam and p_lam_g6 < lam_g6)):
+        lam, lam_g6 = p_lam, p_lam_g6
+    if p_e is not None and (e is None or p_e > e or (p_e == e and p_e_g6 < e_g6)):
+        e, e_g6 = p_e, p_e_g6
+    return cnt + p_cnt, mem + p_mem, lam, lam_g6, e, e_g6, vio + p_vio
+
+
 def _scan_chunk(family: FamilySpec, chunk: list[Graph], bound: float | None, tol: float):
-    best_lam = None
-    best_lam_g6 = None
-    best_e = None
-    best_e_g6 = None
-    violations = 0
-    members = 0
+    acc = (len(chunk), 0, None, None, None, None, 0)
     for g in chunk:
         if not family_filter(family, g):
             continue
-        members += 1
         lam = spectral_radius(g, tol).lam if g.n >= 1 else 0.0
         g6 = encode_graph6(g)
-        if (
-            best_lam is None
-            or lam > best_lam
-            or (lam == best_lam and g6 < best_lam_g6)
-        ):
-            best_lam, best_lam_g6 = lam, g6
-        e = g.edge_count
-        if best_e is None or e > best_e or (e == best_e and g6 < best_e_g6):
-            best_e, best_e_g6 = e, g6
-        if bound is not None and lam > bound + MATCH_TOL:
-            violations += 1
-    return (len(chunk), members, best_lam, best_lam_g6, best_e, best_e_g6, violations)
+        violation = int(bound is not None and lam > bound + MATCH_TOL)
+        acc = _fold(acc, (0, 1, lam, g6, g.edge_count, g6, violation))
+    return acc
 
 
-def _merge(parts):
-    scanned = 0
-    members = 0
-    best_lam = None
-    best_lam_g6 = None
-    best_e = None
-    best_e_g6 = None
-    violations = 0
-    for cnt, mem, lam, lam_g6, e, e_g6, vio in parts:
-        scanned += cnt
-        members += mem
-        violations += vio
-        if lam is not None and (
-            best_lam is None
-            or lam > best_lam
-            or (lam == best_lam and lam_g6 < best_lam_g6)
-        ):
-            best_lam, best_lam_g6 = lam, lam_g6
-        if e is not None and (best_e is None or e > best_e or (e == best_e and e_g6 < best_e_g6)):
-            best_e, best_e_g6 = e, e_g6
-    return scanned, members, best_lam, best_lam_g6, best_e, best_e_g6, violations
+def _pool_size(jobs: int, chunks: int) -> int:
+    """Worker processes for a scan: no more than the jobs asked for, the CPUs
+    present, or the chunks to share out; 1 means run serially."""
+    return max(1, min(jobs, os.cpu_count() or 1, chunks))
 
 
 def _resolve_source(family: FamilySpec, n: int, source) -> list[Graph]:
@@ -244,13 +283,14 @@ def scan_family(
     if family.kind == "kst" and n >= family.s:
         bound = kst_lambda_bound(n, family.s, family.t)
     chunks = [graphs[i:i + _CHUNK] for i in range(0, len(graphs), _CHUNK)] or [[]]
-    if jobs > 1 and len(chunks) > 1:
-        with multiprocessing.Pool(processes=jobs) as pool:
+    workers = _pool_size(jobs, len(chunks))
+    if workers > 1:
+        with multiprocessing.Pool(processes=workers) as pool:
             parts = pool.starmap(
                 _scan_chunk, [(family, c, bound, tol) for c in chunks])
     else:
         parts = [_scan_chunk(family, c, bound, tol) for c in chunks]
-    scanned, members, best_lam, best_lam_g6, best_e, best_e_g6, violations = _merge(parts)
+    scanned, _, best_lam, best_lam_g6, best_e, best_e_g6, violations = reduce(_fold, parts, _EMPTY)
     if best_lam is None:
         raise ValueError(f"no member of {family.label()} among the {scanned} graphs scanned")
     cons = family.construction(n)
@@ -269,19 +309,6 @@ def scan_family(
         bound_violations=violations,
         graphs_scanned=scanned,
     )
-
-
-def search_max_lambda(family: FamilySpec, n: int, source=None, jobs: int = 1,
-                      tol: float = DEFAULT_TOL) -> SearchReport:
-    """Scan for the spectral-radius maximizer (the full report carries the
-    edge maximizer as well)."""
-    return scan_family(family, n, source=source, jobs=jobs, tol=tol)
-
-
-def search_max_edges(family: FamilySpec, n: int, source=None, jobs: int = 1,
-                     tol: float = DEFAULT_TOL) -> SearchReport:
-    """Scan for the edge-count maximizer (same report shape)."""
-    return scan_family(family, n, source=source, jobs=jobs, tol=tol)
 
 
 # ---------------------------------------------------------------------------

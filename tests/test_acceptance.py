@@ -27,7 +27,6 @@ from spectralminors.search import (
     enumerate_graphs,
     reports_to_csv,
     scan_family,
-    search_max_edges,
     verify_membership,
 )
 from spectralminors.spectral import (
@@ -177,7 +176,7 @@ def test_criterion_04_edge_extremal_scan():
     scans = 0
     for r in (3, 4, 5):
         for n in range(r, 8):
-            rep = search_max_edges(FamilySpec.kr_minor_free(r), n, jobs=1)
+            rep = scan_family(FamilySpec.kr_minor_free(r), n, jobs=1)
             want = (r - 2) * (n - r + 2) + (r - 2) * (r - 3) // 2
             assert rep.max_edges == want, (r, n, rep.max_edges, want)
             scans += 1

@@ -30,6 +30,8 @@ from spectralminors import (
     petersen,
     recognize_residual,
 )
+from spectralminors.graph import _components
+from spectralminors.search import enumerate_graphs
 
 from helpers import random_graph
 
@@ -78,6 +80,26 @@ def test_components_and_connectivity():
     assert cycle(5).is_connected()
     assert Graph.empty(0).is_connected()
     assert not Graph.empty(2).is_connected()
+
+
+def test_components_match_networkx_on_masks():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2017)
+    checked = 0
+    for n in range(7):
+        for g in enumerate_graphs(n):
+            mask = rng.getrandbits(n) if n else 0
+            ng = nx.Graph()
+            ng.add_nodes_from(range(n))
+            ng.add_edges_from(g.edges())
+            sub = ng.subgraph(v for v in range(n) if mask >> v & 1)
+            want = sorted(sum(1 << v for v in c) for c in nx.connected_components(sub))
+            got = _components(g.rows, mask)
+            assert sorted(got) == want, (encode_graph6(g), mask)
+            # ordered by least vertex
+            assert got == sorted(got, key=lambda m: m & -m)
+            checked += 1
+    assert checked == 1 + 1 + 2 + 4 + 11 + 34 + 156
 
 
 def test_induced_subgraph_and_relabel():

@@ -36,6 +36,7 @@ from spectralminors import (
     verify_witness,
     y_to_delta,
 )
+from spectralminors import minors
 from spectralminors.minors import max_degree_residual_bound, triangles
 
 from helpers import girth, oracle_has_minor, random_graph, relabeled
@@ -77,6 +78,13 @@ def test_witness_realizes_minor():
     assert w is not None
     assert verify_witness(complete(3), cycle(5), w)
     assert len(w.branch_sets) == 3
+
+
+def test_invalid_witness_raises(monkeypatch):
+    # all three H-vertices mapped to G-vertex 0: overlapping branch sets
+    monkeypatch.setattr(minors, "_search", lambda *args: {0: 1, 1: 1, 2: 1})
+    with pytest.raises(RuntimeError, match="invalid witness"):
+        has_minor(complete(3), cycle(5))
 
 
 def test_verify_witness_rejects_tampering():

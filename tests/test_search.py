@@ -1,6 +1,7 @@
 """Enumeration, family scans, membership reports, and serialization."""
 
 import math
+import os
 import random
 
 import pytest
@@ -28,11 +29,10 @@ from spectralminors import (
     report_to_json,
     reports_to_csv,
     scan_family,
-    search_max_edges,
-    search_max_lambda,
     spectral_radius,
     verify_membership,
 )
+from spectralminors.search import _pool_size
 
 from helpers import random_graph
 
@@ -149,7 +149,7 @@ def test_verify_membership_independent_residual():
 def test_scan_kr3_n5():
     # K_3-minor-free means forest; among 5-vertex forests the star K_{1,4}
     # carries the largest radius (2) and every tree ties the edge count
-    report = search_max_lambda(FamilySpec.kr_minor_free(3), 5)
+    report = scan_family(FamilySpec.kr_minor_free(3), 5)
     assert report.max_lambda == pytest.approx(2.0, abs=1e-9)
     star = join(complete(1), independent(4))
     assert are_isomorphic(parse_graph6(report.argmax_g6), star)
@@ -189,6 +189,16 @@ def test_scan_source_validation(tmp_path):
         scan_family(FamilySpec.kr_minor_free(3), 5, source=str(src))
 
 
+def test_pool_size_is_capped():
+    # a pure computation: no worker process starts here
+    cpus = os.cpu_count() or 1
+    assert _pool_size(10**9, 10**9) == cpus
+    assert _pool_size(10**9, 3) == min(cpus, 3)
+    assert _pool_size(1, 100) == 1
+    assert _pool_size(4, 1) == 1
+    assert _pool_size(0, 5) == 1
+
+
 def test_scan_rejects_empty_family():
     with pytest.raises(ValueError, match="no member"):
         scan_family(FamilySpec.kr_minor_free(3), 3, source=[complete(3)])
@@ -196,7 +206,7 @@ def test_scan_rejects_empty_family():
 
 def test_search_max_edges_mader_spot():
     # K_4-minor-free at n=6: 2(n-2) + 1 edges? no: (r-2)(n-r+2) + C(r-2, 2)
-    report = search_max_edges(FamilySpec.kr_minor_free(4), 6)
+    report = scan_family(FamilySpec.kr_minor_free(4), 6)
     assert report.max_edges == 2 * 4 + 1
     assert report.construction_edges == report.max_edges
 
