@@ -2,6 +2,7 @@
 characterizations decidable by finite obstruction sets: mu <= 1 iff a disjoint
 union of paths, mu <= 2 iff outerplanar, mu <= 3 iff planar, mu <= 4 iff
 linklessly embeddable. Values 5 and above are reported as a single class.
+The classes are nested, so mu_at_most decides mu <= m by level m's test alone.
 
 Also carries the additive bound under joining a universal vertex and the two
 reported (not asserted) edge-count inequalities for mu-bounded and bipartite
@@ -15,7 +16,12 @@ from dataclasses import dataclass
 from .graph import Graph, complete_bipartite, is_bipartite, is_path_union
 from .minors import is_linkless, is_outerplanar, is_planar
 
-_LABELS = {1: "<=1", 2: "=2", 3: "=3", 4: "=4", 5: ">=5"}
+# Levels 1..4 as (label, witness, test). Path unions are outerplanar, outerplanar
+# graphs planar, planar graphs linkless: classify_mu stops by level m iff test m holds.
+_LEVELS = (("<=1", "disjoint-paths", is_path_union),
+           ("=2", "outerplanar", is_outerplanar),
+           ("=3", "planar", is_planar),
+           ("=4", "linkless", is_linkless))
 
 
 @dataclass(frozen=True)
@@ -35,15 +41,17 @@ class MuClass:
 def classify_mu(g: Graph) -> MuClass:
     """Smallest characterization level containing g. The ladder is evaluated
     bottom up and purely through minor tests, no density shortcuts."""
-    if is_path_union(g):
-        return MuClass(1, _LABELS[1], "disjoint-paths")
-    if is_outerplanar(g):
-        return MuClass(2, _LABELS[2], "outerplanar")
-    if is_planar(g):
-        return MuClass(3, _LABELS[3], "planar")
-    if is_linkless(g):
-        return MuClass(4, _LABELS[4], "linkless")
-    return MuClass(5, _LABELS[5], "none")
+    for value, (label, witness, test) in enumerate(_LEVELS, start=1):
+        if test(g):
+            return MuClass(value, label, witness)
+    return MuClass(5, ">=5", "none")
+
+
+def mu_at_most(g: Graph, m: int) -> bool:
+    """Whether mu(g) <= m, by level m's test alone. Decidable only for m <= 4."""
+    if not 1 <= m <= 4:
+        raise ValueError("m must be in 1..4 (higher classes are not decidable here)")
+    return _LEVELS[m - 1][2](g)
 
 
 def mu_join_bound(g: Graph, v: int, mu_without: int | MuClass) -> tuple[int, bool]:
@@ -60,9 +68,7 @@ def mu_join_bound(g: Graph, v: int, mu_without: int | MuClass) -> tuple[int, boo
 def check_problem1(g: Graph, m: int) -> bool:
     """Report whether e(g) <= m*n - m(m+1)/2 for a graph verified to have
     mu <= m. Decidable only for m <= 4."""
-    if not 1 <= m <= 4:
-        raise ValueError("m must be in 1..4 (higher classes are not decidable here)")
-    if not classify_mu(g).at_most(m):
+    if not mu_at_most(g, m):
         raise ValueError(f"graph is not verified to have mu <= {m}")
     return g.edge_count <= m * g.n - m * (m + 1) // 2
 

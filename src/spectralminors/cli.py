@@ -307,37 +307,33 @@ def _cmd_dy(args) -> int:
     return 0
 
 
+def _tally(n: int, check) -> tuple[int, int]:
+    """Members and violations at order n; check(g) raises ValueError on a non-member."""
+    members = violations = 0
+    for g in enumerate_graphs(n):
+        try:
+            ok = check(g)
+        except ValueError:
+            continue
+        members += 1
+        violations += not ok
+    return members, violations
+
+
 def _cmd_report_problems(args) -> int:
-    max_n = args.max_n
-    if not 1 <= max_n <= 7:
+    if not 1 <= args.max_n <= 7:
         raise ValueError("--max-n must be within the internal enumeration range 1..7")
     print("problem 1: e <= m*n - m(m+1)/2 over graphs with mu <= m")
     print("m  n  members  violations")
     for m in range(1, 5):
-        for n in range(1, max_n + 1):
-            members = 0
-            violations = 0
-            for g in enumerate_graphs(n):
-                if not classify_mu(g).at_most(m):
-                    continue
-                members += 1
-                if not check_problem1(g, m):
-                    violations += 1
+        for n in range(1, args.max_n + 1):
+            members, violations = _tally(n, lambda g: check_problem1(g, m))
             print(f"{m}  {n}  {members:7d}  {violations:10d}")
     print()
     print("problem 2: e <= 3n - 9 over bipartite linkless graphs")
     print("n  members  violations")
-    for n in range(1, max_n + 1):
-        members = 0
-        violations = 0
-        for g in enumerate_graphs(n):
-            try:
-                ok = check_problem2(g)
-            except ValueError:
-                continue
-            members += 1
-            if not ok:
-                violations += 1
+    for n in range(1, args.max_n + 1):
+        members, violations = _tally(n, check_problem2)
         print(f"{n}  {members:7d}  {violations:10d}")
     return 0
 
@@ -359,8 +355,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command in ("construct", "search", "verify"):
-        sub = parser  # parser.error carries usage exit code 2
-        args._family = _family_from_args(sub, args)
+        args._family = _family_from_args(parser, args)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, ConvergenceError, OSError) as exc:

@@ -57,9 +57,8 @@ class Graph:
             raise ValueError(f"vertex count {self.n} outside [0, {MAX_VERTICES}]")
         if len(self.rows) != self.n:
             raise ValueError("adjacency row count does not match n")
-        full = (1 << self.n) - 1
         for u, row in enumerate(self.rows):
-            if row & ~full:
+            if row >> self.n:
                 raise ValueError(f"row {u} references vertices >= n")
             if row >> u & 1:
                 raise ValueError(f"loop at vertex {u}")

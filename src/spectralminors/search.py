@@ -11,8 +11,8 @@ and one fold combines graphs into chunk tallies and chunk tallies into the
 report, with deterministic tie-breaking (lexicographically least graph6
 string), so output is byte-identical at any parallelism degree.
 
-family_filter is the family-membership predicate; clique_completion_safe
-checks its member hypothesis and its answer through it.
+family_filter is the membership predicate (for mu <= m, level m's test only);
+clique_completion_safe checks its member hypothesis and its answer through it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Iterable, Iterator
 
-from .cdv import classify_mu
+from .cdv import mu_at_most
 from .families import FamilySpec
 from .graph import Graph, decompose_apex_clique, encode_graph6, parse_graph6, recognize_residual
 from .canon import canonical_key
@@ -96,7 +96,7 @@ def ingest_graph6_stream(path) -> Iterator[Graph]:
 def family_filter(family: FamilySpec, g: Graph) -> bool:
     """True iff g belongs to the family, by exact minor tests."""
     if family.kind == "cdv":
-        return classify_mu(g).value <= family.m
+        return mu_at_most(g, family.m)
     return has_minor(family.forbidden_minor(), g) is None
 
 
@@ -255,7 +255,7 @@ def _pool_size(jobs: int, chunks: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1, chunks))
 
 
-def _resolve_source(family: FamilySpec, n: int, source) -> list[Graph]:
+def _resolve_source(n: int, source) -> list[Graph]:
     if source is None:
         graphs = list(enumerate_graphs(n))
     elif isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
@@ -278,7 +278,7 @@ def scan_family(
     """Scan every graph from the source (internal enumeration when None),
     keep the family members, and report both maximizers against the
     construction."""
-    graphs = _resolve_source(family, n, source)
+    graphs = _resolve_source(n, source)
     bound = None
     if family.kind == "kst" and n >= family.s:
         bound = kst_lambda_bound(n, family.s, family.t)

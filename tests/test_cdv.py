@@ -5,6 +5,7 @@ import random
 import pytest
 
 from spectralminors import (
+    FamilySpec,
     MuClass,
     check_problem1,
     check_problem2,
@@ -16,6 +17,8 @@ from spectralminors import (
     cycle,
     delete_edge,
     delete_vertex,
+    enumerate_graphs,
+    family_filter,
     independent,
     join,
     mu_join_bound,
@@ -23,6 +26,7 @@ from spectralminors import (
     path,
     petersen,
 )
+from spectralminors.cdv import mu_at_most
 from spectralminors.graph import Graph
 
 from helpers import random_graph
@@ -58,6 +62,19 @@ def test_at_most():
     c = classify_mu(complete(4))
     assert c.at_most(3) and c.at_most(4)
     assert not c.at_most(2)
+
+
+def test_mu_at_most_matches_ladder():
+    for n in range(7):
+        for g in enumerate_graphs(n):
+            value = classify_mu(g).value
+            for m in range(1, 5):
+                want = value <= m
+                assert mu_at_most(g, m) == want, (g, m)
+                assert family_filter(FamilySpec.cdv_at_most(m), g) == want, (g, m)
+    for m in (0, 5):
+        with pytest.raises(ValueError):
+            mu_at_most(complete(3), m)
 
 
 def test_construction_classes():

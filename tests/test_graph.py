@@ -65,6 +65,10 @@ def test_constructor_rejects_bad_input():
         Graph(2, (2, 0))  # asymmetric adjacency
     with pytest.raises(ValueError):
         Graph(2, (1, 2))  # loop bit on vertex 0
+    with pytest.raises(ValueError, match=">= n"):
+        Graph(2, (4, 0))  # bit 2 on a 2-vertex graph
+    with pytest.raises(ValueError, match=">= n"):
+        Graph(2, (-1, 0))  # negative row
     with pytest.raises(ValueError):
         Graph.empty(-1)
     with pytest.raises(ValueError):
