@@ -5,9 +5,18 @@ closure that generates the linkless obstruction set from K_6.
 has_minor decides whether H is a minor of G by building branch sets, one per
 H-vertex in decreasing-degree order. Each branch set is a connected subset of
 the unused G-vertices chosen to touch the neighborhood of every previously
-placed set it must be adjacent to. Two exactness-preserving reductions run
-first and make the join-heavy instances tractable:
+placed set it must be adjacent to. Exactness-preserving reductions run first
+and make sparse and join-heavy instances tractable. With d the minimum degree
+of H:
 
+  * degree reductions, repeated until none applies: if d >= 1, delete an
+    isolated vertex; if d >= 2, delete a vertex of degree 1; if d >= 3,
+    contract a vertex v of degree 2 into a neighbor a. A vertex of degree
+    below d is never a branch set by itself; a leaf inside a larger branch
+    set adds nothing to it; and if v lies in a branch set B, either a is in
+    B too and the merged vertex takes v's place, or v is a leaf of G[B]
+    whose only outside edge goes to a, an adjacency the merged vertex keeps
+    from a's side;
   * twin capping: a class of mutually interchangeable vertices (identical open
     or closed neighborhoods) larger than n(H) can lose its excess members, as
     any branch set using two twins can drop one of them;
@@ -15,8 +24,9 @@ first and make the join-heavy instances tractable:
     a minor of G iff H is a minor of G-u or H-v is a minor of G-u for some
     H-vertex v (take {u} as the branch set of v).
 
-Everything here works on bitmask vertex sets over the original labels, so
-witnesses come out in G's labeling with no translation step.
+Everything here works on bitmask vertex sets over the original labels. A
+contracted vertex keeps the mask of the original vertices merged into it, so
+witnesses are lifted back to G's labeling by a union of those masks.
 """
 
 from __future__ import annotations
@@ -94,6 +104,44 @@ def _twin_cap(g_rows, g_act: int, cap: int) -> int:
                 changed = True
                 break
     return g_act
+
+
+def _reduce(h_rows, h_act: int, g_rows, g_act: int):
+    """Apply the degree reductions of the module docstring until none applies.
+    Returns None if none applied, else (rows, act, merged): the reduced graph
+    on act, and for each vertex a that absorbed contractions the mask of the
+    original vertices merged into it, a excluded. Only vertices whose degree
+    changed are looked at again."""
+    # a host vertex of degree k is reduced when k <= 2 and k < d, the
+    # minimum degree of H
+    limit = min(3, min((h_rows[v] & h_act).bit_count() for v in _bits(h_act)))
+    if limit == 0:
+        return None
+    act = g_act
+    rows = g_rows
+    merged: dict[int, int] = {}
+    work = list(_bits(g_act))
+    while work:
+        v = work.pop()
+        nb = rows[v] & act
+        k = nb.bit_count()
+        if not act >> v & 1 or k >= limit:
+            continue
+        act ^= 1 << v
+        if k == 2:
+            # stale bits of inactive vertices stay in rows: every reader
+            # masks rows with its active set
+            if rows is g_rows:
+                rows = list(g_rows)
+            a = (nb & -nb).bit_length() - 1
+            b = (nb ^ (1 << a)).bit_length() - 1
+            rows[a] = (rows[a] | rows[v]) & ~(1 << a)
+            rows[b] |= 1 << a
+            merged[a] = merged.get(a, 0) | (1 << v) | merged.pop(v, 0)
+        work.extend(_bits(nb))
+    if act == g_act:
+        return None
+    return rows, act, merged
 
 
 def _backtrack(h_rows, h_act: int, g_rows, g_act: int):
@@ -190,6 +238,15 @@ def _search(h: Graph, h_act: int, g_rows, g_act: int):
     gn = g_act.bit_count()
     if hn > gn:
         return None
+    reduced = _reduce(h.rows, h_act, g_rows, g_act)
+    if reduced is not None:
+        rows, act, merged = reduced
+        sol = _search(h, h_act, rows, act)
+        if sol is not None:
+            for v, b in sol.items():
+                for a in _bits(b):
+                    sol[v] |= merged.get(a, 0)
+        return sol
     if _mask_edges(h.rows, h_act) > _mask_edges(g_rows, g_act):
         return None
     g_act = _twin_cap(g_rows, g_act, hn)

@@ -8,7 +8,9 @@ O(edges). The iteration runs on A + (max degree + 1) I so the dominant
 eigenvalue is simple and positive even on bipartite components, starts from
 the all-ones vector (a regular component stops at iteration 1 with residual
 0.0), and stops when the infinity-norm eigen-residual |A x - lam x| is at
-most tol * max(1, lam), lam being the Rayleigh quotient of x.
+most tol * max(1, lam), lam being the Rayleigh quotient of x. A tol below
+TOL_FLOOR, the float64 machine epsilon, is rejected up front: rounding alone
+keeps the residual above it.
 
 Components with a small spectral gap, such as long paths, need Theta(k^2)
 iterations. A k-vertex component that has not stopped after k iterations,
@@ -35,6 +37,8 @@ from .graph import Graph, _bit_matrix, _bits, join
 
 ITERATION_CAP = 10 ** 6
 DEFAULT_TOL = 1e-12
+# A smaller tol would iterate to ITERATION_CAP before raising.
+TOL_FLOOR = float(np.finfo(float).eps)
 # Largest component given the dense eigh seed: its k x k float64 matrix takes
 # 32 MiB at k = 2048, and k sparse products cost about one eigh.
 DENSE_SEED_MAX = 2048
@@ -95,8 +99,10 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> EigenResult:
     """Largest adjacency eigenvalue of g with its nonnegative eigenvector."""
     if g.n < 1:
         raise ValueError("spectral radius needs at least one vertex")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol >= TOL_FLOOR:
+        raise ValueError(
+            f"tol {tol!r} is below {TOL_FLOOR!r}, the float64 machine epsilon "
+            "and the smallest relative residual rounding allows")
     best = None
     best_vs = None
     pos = np.empty(g.n, np.intp)

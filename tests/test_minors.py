@@ -1,6 +1,7 @@
 """Minor containment, witnesses, forbidden families, delta-wye closures."""
 
 import random
+import time
 
 import pytest
 
@@ -156,6 +157,88 @@ def test_minors_of_reduced_hosts_lift():
             u, w = rng.choice(list(g.edges()))
             if has_minor(h, contract_edge(g, u, w)) is not None:
                 assert has_minor(h, g) is not None
+
+
+# ---------------------------------------------------------------------------
+# Degree reductions: low-degree host vertices deleted, degree-2 ones contracted
+
+
+def subdivided(g: Graph, k: int) -> Graph:
+    """g with every edge replaced by a path through k new vertices."""
+    edges = []
+    n = g.n
+    for u, v in g.edges():
+        chain = [u, *range(n, n + k), v]
+        n += k
+        edges += zip(chain, chain[1:])
+    return Graph.from_edges(n, edges)
+
+
+@pytest.mark.parametrize("h, n", [(complete(5), 35), (complete_bipartite(3, 3), 33)],
+                         ids=["K5", "K3,3"])
+def test_subdivided_host_contracts_back(h, n):
+    g = subdivided(h, 3)
+    assert g.n == n
+    start = time.perf_counter()
+    w = has_minor(h, g)
+    assert time.perf_counter() - start < 2.0
+    assert w is not None and verify_witness(h, g, w)
+    # deleting one chain vertex leaves a subdivision of H - e with two
+    # pendant paths, which is planar
+    cut = delete_vertex(g, h.n)
+    for obstruction in planar_obstructions().members:
+        start = time.perf_counter()
+        assert has_minor(obstruction, cut) is None
+        assert time.perf_counter() - start < 2.0
+
+
+def test_pendant_tree_and_isolated_vertices_are_dropped():
+    k5 = complete(5)
+    tree = [(0, 5), (5, 6), (5, 7), (7, 8), (2, 9)]
+    g = Graph.from_edges(12, [*k5.edges(), *tree])  # 10 and 11 isolated
+    w = has_minor(k5, g)
+    assert w is not None and verify_witness(k5, g, w)
+    assert has_minor(k5, delete_edge(g, 0, 1)) is None
+
+
+def test_long_chains_collapse_before_backtracking():
+    assert has_minor(complete(4), cycle(2000)) is None
+    assert has_minor(complete(3), path(2000)) is None
+    g = subdivided(complete(4), 300)
+    w = has_minor(complete(4), g)
+    assert w is not None and verify_witness(complete(4), g, w)
+
+
+def test_wagner_planarity_oracle_on_atlas():
+    # Wagner: a graph is planar iff it has neither a K5 nor a K3,3 minor
+    nx = pytest.importorskip("networkx")
+    k5, k33 = complete(5), complete_bipartite(3, 3)
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            ng = nx.Graph()
+            ng.add_nodes_from(range(g.n))
+            ng.add_edges_from(g.edges())
+            neither = has_minor(k5, g) is None and has_minor(k33, g) is None
+            assert neither == nx.check_planarity(ng)[0]
+
+
+def test_answers_invariant_under_relabeling_on_gnp_hosts():
+    hs = [complete(5), complete_bipartite(3, 3), complete_bipartite(2, 3)]
+    # hosts from a fixed pool as in the stream-hosts bench, labels from a
+    # second seed
+    pool, rng = random.Random(17030), random.Random(17031)
+    seen = set()
+    for i in range(12):
+        g = random_graph(pool, 9, 0.2 + 0.5 * i / 11)
+        answers = [has_minor(h, g) is not None for h in hs]
+        seen.update(enumerate(answers))
+        for _ in range(2):
+            r = relabeled(rng, g)
+            for h, expected in zip(hs, answers):
+                w = has_minor(h, r)
+                assert (w is not None) == expected
+                assert w is None or verify_witness(h, r, w)
+    assert seen == {(j, a) for j in range(len(hs)) for a in (False, True)}
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -124,6 +125,14 @@ def test_errors():
         spectral_radius(Graph.empty(0))
     with pytest.raises(ValueError):
         spectral_radius(complete(3), tol=0.0)
+
+
+def test_tolerance_below_rounding_fails_fast():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="machine epsilon"):
+        spectral_radius(path(5), tol=1e-17)
+    assert time.perf_counter() - start < 0.5
+    assert spectral_radius(path(5), tol=float(np.finfo(float).eps)).lam > 0
 
 
 def assert_relative_residual(res):
