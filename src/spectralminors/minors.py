@@ -24,6 +24,27 @@ of H:
     a minor of G iff H is a minor of G-u or H-v is a minor of G-u for some
     H-vertex v (take {u} as the branch set of v).
 
+After the degree reductions, and before twin capping and the search, four
+certificates can answer "no" at once. Each applies to the reduced G, which is
+a minor of G, so each is exact:
+
+  * edge budget (d >= 2): every host vertex now has degree >= 2, so a model
+    of H needs e(G) >= e(H) + n(G) - n(H) (argument at the test);
+  * elimination width: a minimum-degree elimination ordering of G of width
+    below the degeneracy of H shows tw(G) < tw(H), and treewidth is
+    minor-monotone;
+  * planarity: if H is nonplanar and G has a planar embedding, H is not a
+    minor of G, as minors of planar graphs are planar;
+  * outerplanarity: if H is not outerplanar and G plus one vertex joined to
+    all of G has a planar embedding, G is outerplanar and so is every minor.
+
+H's degeneracy and planarity class are cached per (H, active set); the class
+comes from has_minor on K5, K3,3, K4 and K2,3, not from the embedding code.
+An embedding counts only after planarity._is_plane_rotation accepts it on
+that call, so a nonplanar verdict or a rejected embedding decides nothing and
+the search runs as before: a fault there can cost time but not change an
+answer. "Yes" answers and their witnesses always come from the search.
+
 Everything here works on bitmask vertex sets over the original labels. A
 contracted vertex keeps the mask of the original vertices merged into it, so
 witnesses are lifted back to G's labeling by a union of those masks.
@@ -33,9 +54,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 
 from .canon import canonical_key
 from .graph import Graph, _bits, _components, complete, complete_bipartite, delete_vertex
+from .planarity import _is_plane_rotation, _lr_rotation
 
 
 @dataclass(frozen=True)
@@ -106,15 +129,13 @@ def _twin_cap(g_rows, g_act: int, cap: int) -> int:
     return g_act
 
 
-def _reduce(h_rows, h_act: int, g_rows, g_act: int):
-    """Apply the degree reductions of the module docstring until none applies.
-    Returns None if none applied, else (rows, act, merged): the reduced graph
-    on act, and for each vertex a that absorbed contractions the mask of the
-    original vertices merged into it, a excluded. Only vertices whose degree
-    changed are looked at again."""
-    # a host vertex of degree k is reduced when k <= 2 and k < d, the
-    # minimum degree of H
-    limit = min(3, min((h_rows[v] & h_act).bit_count() for v in _bits(h_act)))
+def _reduce(g_rows, g_act: int, limit: int):
+    """Apply the degree reductions of the module docstring until none applies:
+    a host vertex of degree k is reduced when k < limit = min(3, d). Returns
+    None if none applied, else (rows, act, merged): the reduced graph on act,
+    and for each vertex a that absorbed contractions the mask of the original
+    vertices merged into it, a excluded. Only vertices whose degree changed
+    are looked at again."""
     if limit == 0:
         return None
     act = g_act
@@ -231,6 +252,87 @@ def _backtrack(h_rows, h_act: int, g_rows, g_act: int):
     return None
 
 
+# ---------------------------------------------------------------------------
+# Certificates that H is not a minor
+
+
+def _degeneracy(rows, act: int) -> int:
+    """Largest minimum degree met while repeatedly deleting a vertex of
+    minimum degree from the graph on act."""
+    k = 0
+    while act:
+        v = min(_bits(act), key=lambda u: (rows[u] & act).bit_count())
+        k = max(k, (rows[v] & act).bit_count())
+        act ^= 1 << v
+    return k
+
+
+def _elimination_width_below(rows, act: int, k: int) -> bool:
+    """True if a minimum-degree elimination ordering of the graph on act has
+    width below k. Eliminating v joins its remaining neighbours into a
+    clique; the largest neighbourhood met bounds the treewidth from above."""
+    rows = list(rows)
+    heap = [((rows[v] & act).bit_count(), v) for v in _bits(act)]
+    heapify(heap)
+    while heap:
+        d, v = heappop(heap)
+        nb = rows[v] & act
+        # entries whose vertex is gone or whose degree changed are stale
+        if act >> v & 1 and nb.bit_count() == d:
+            if d >= k:
+                return False
+            act ^= 1 << v
+            for u in _bits(nb):
+                rows[u] |= nb ^ (1 << u)
+                heappush(heap, ((rows[u] & act).bit_count(), u))
+    return True
+
+
+def _embeds(rows, act: int) -> bool:
+    """True only with a rotation system of the graph on act that passed the
+    face-tracing check on this call; a nonplanar verdict or a rejected
+    rotation both give False."""
+    rot = _lr_rotation(rows, act)
+    return rot is not None and _is_plane_rotation(rows, act, rot)
+
+
+@lru_cache(maxsize=1024)
+def _profile(h: Graph, h_act: int) -> tuple[int, bool, bool]:
+    """(degeneracy, nonplanar, not outerplanar) of H on h_act, the last two
+    decided by has_minor on the K5, K3,3, K4 and K2,3 obstructions."""
+    hs = h.induced_subgraph(_bits(h_act))
+    nonplanar = not is_planar(hs)
+    return _degeneracy(h.rows, h_act), nonplanar, nonplanar or not is_outerplanar(hs)
+
+
+# (h, h_act) pairs whose _profile is being computed. Those has_minor calls
+# reach _search with h itself as the pattern (is_planar(K5) asks for a K5 in
+# K5), where the certificates are skipped instead of recursing. Sharing the
+# set between threads can only skip a certificate, never change an answer.
+_PROFILING: set[tuple[Graph, int]] = set()
+
+
+def _excluded(h: Graph, h_act: int, g_rows, g_act: int) -> bool:
+    """True if a certificate of the module docstring shows that H on h_act
+    is not a minor of G on g_act."""
+    key = (h, h_act)
+    if key in _PROFILING:
+        return False
+    _PROFILING.add(key)
+    try:
+        degeneracy, nonplanar, nonouterplanar = _profile(h, h_act)
+    finally:
+        _PROFILING.discard(key)
+    if _elimination_width_below(g_rows, g_act, degeneracy):
+        return True
+    if nonplanar:
+        return _embeds(g_rows, g_act)
+    if nonouterplanar:
+        apex = len(g_rows)
+        return _embeds([r | 1 << apex for r in g_rows] + [g_act], g_act | 1 << apex)
+    return False
+
+
 def _search(h: Graph, h_act: int, g_rows, g_act: int):
     hn = h_act.bit_count()
     if hn == 0:
@@ -238,7 +340,8 @@ def _search(h: Graph, h_act: int, g_rows, g_act: int):
     gn = g_act.bit_count()
     if hn > gn:
         return None
-    reduced = _reduce(h.rows, h_act, g_rows, g_act)
+    d = min((h.rows[v] & h_act).bit_count() for v in _bits(h_act))
+    reduced = _reduce(g_rows, g_act, min(3, d))
     if reduced is not None:
         rows, act, merged = reduced
         sol = _search(h, h_act, rows, act)
@@ -247,7 +350,14 @@ def _search(h: Graph, h_act: int, g_rows, g_act: int):
                 for a in _bits(b):
                     sol[v] |= merged.get(a, 0)
         return sol
-    if _mask_edges(h.rows, h_act) > _mask_edges(g_rows, g_act):
+    # Edge budget. With d >= 2 the reductions left every host vertex with
+    # degree >= 2. A model of H uses |B| - 1 edges inside each branch set B
+    # and e(H) between them, and the set U of unused vertices has 2|U| edge
+    # ends on at least |U| further edges: e(G) >= e(H) + n(G) - n(H).
+    spare = gn - hn if d >= 2 else 0
+    if _mask_edges(h.rows, h_act) + spare > _mask_edges(g_rows, g_act):
+        return None
+    if _excluded(h, h_act, g_rows, g_act):
         return None
     g_act = _twin_cap(g_rows, g_act, hn)
     gn = g_act.bit_count()

@@ -1,8 +1,11 @@
 """Module layering: every import in the package sits at module level, so each
 module's dependencies show in its header and no deferred import can hide a
-cycle (minors, for one, must not reach up into cdv)."""
+cycle (minors, for one, must not reach up into cdv); and the package imports
+only the standard library, numpy and itself, so test oracles such as
+networkx never become runtime dependencies."""
 
 import ast
+import sys
 from pathlib import Path
 
 import spectralminors
@@ -24,3 +27,22 @@ def test_no_function_level_imports():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{line} in {name}()" for name, line in _function_imports(tree)]
     assert not found, "function-level imports: " + ", ".join(found)
+
+
+def _imported_roots(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0], node.lineno
+
+
+def test_imports_only_stdlib_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "spectralminors"}
+    found = []
+    for path in sorted(Path(spectralminors.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line} imports {root}"
+                  for root, line in _imported_roots(tree) if root not in allowed]
+    assert not found, "imports outside the standard library and numpy: " + ", ".join(found)

@@ -21,6 +21,7 @@ from spectralminors import (
     delta_to_y,
     delta_y_closure,
     disjoint_union,
+    encode_graph6,
     enumerate_graphs,
     has_minor,
     independent,
@@ -30,6 +31,7 @@ from spectralminors import (
     join,
     linkless_obstructions,
     outerplanar_obstructions,
+    parse_graph6,
     path,
     petersen,
     petersen_family,
@@ -38,7 +40,9 @@ from spectralminors import (
     y_to_delta,
 )
 from spectralminors import minors
+from spectralminors.graph import _bits
 from spectralminors.minors import max_degree_residual_bound, triangles
+from spectralminors.planarity import _is_plane_rotation, _lr_rotation
 
 from helpers import girth, oracle_has_minor, random_graph, relabeled
 
@@ -209,19 +213,6 @@ def test_long_chains_collapse_before_backtracking():
     assert w is not None and verify_witness(complete(4), g, w)
 
 
-def test_wagner_planarity_oracle_on_atlas():
-    # Wagner: a graph is planar iff it has neither a K5 nor a K3,3 minor
-    nx = pytest.importorskip("networkx")
-    k5, k33 = complete(5), complete_bipartite(3, 3)
-    for n in range(8):
-        for g in enumerate_graphs(n):
-            ng = nx.Graph()
-            ng.add_nodes_from(range(g.n))
-            ng.add_edges_from(g.edges())
-            neither = has_minor(k5, g) is None and has_minor(k33, g) is None
-            assert neither == nx.check_planarity(ng)[0]
-
-
 def test_answers_invariant_under_relabeling_on_gnp_hosts():
     hs = [complete(5), complete_bipartite(3, 3), complete_bipartite(2, 3)]
     # hosts from a fixed pool as in the stream-hosts bench, labels from a
@@ -239,6 +230,136 @@ def test_answers_invariant_under_relabeling_on_gnp_hosts():
                 assert (w is not None) == expected
                 assert w is None or verify_witness(h, r, w)
     assert seen == {(j, a) for j in range(len(hs)) for a in (False, True)}
+
+
+# ---------------------------------------------------------------------------
+# Certificates: verified planar embeddings, the edge budget, elimination width
+
+
+def _nx_planar(nx, g: Graph) -> bool:
+    ng = nx.Graph()
+    ng.add_nodes_from(range(g.n))
+    ng.add_edges_from(g.edges())
+    return nx.check_planarity(ng)[0]
+
+
+def _embeds(g: Graph) -> bool:
+    act = (1 << g.n) - 1
+    rot = _lr_rotation(g.rows, act)
+    return rot is not None and _is_plane_rotation(g.rows, act, rot)
+
+
+def test_wagner_planarity_oracle_on_atlas():
+    # Wagner: a graph is planar iff it has neither a K5 nor a K3,3 minor; the
+    # left-right test finds a verified embedding exactly for those graphs
+    nx = pytest.importorskip("networkx")
+    k5, k33 = complete(5), complete_bipartite(3, 3)
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            planar = _nx_planar(nx, g)
+            neither = has_minor(k5, g) is None and has_minor(k33, g) is None
+            assert neither == planar
+            assert _embeds(g) == planar, encode_graph6(g)
+
+
+def stacked_triangulation(rng: random.Random, n: int) -> set[tuple[int, int]]:
+    """Edges of a maximal planar graph grown by putting each new vertex in a
+    random triangular face."""
+    edges = {(0, 1), (0, 2), (1, 2)}
+    faces = [(0, 1, 2)]
+    for v in range(3, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        edges |= {(a, v), (b, v), (c, v)}
+        faces += [(a, b, v), (a, c, v), (b, c, v)]
+    return edges
+
+
+def test_lr_embedding_matches_networkx_on_large_graphs():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(6060)
+    seen = set()
+    for n in (10, 30, 100, 300):
+        for _ in range(6):
+            # G(n, p) around the planarity threshold
+            gnp = random_graph(rng, n, rng.uniform(0.5, 2.5) / n)
+            # a planar graph plus one random edge
+            edges = [e for e in stacked_triangulation(rng, n) if rng.random() < 0.7]
+            plus = Graph.from_edges(n, edges).with_edge(*rng.sample(range(n), 2))
+            for kind, g in (("gnp", gnp), ("plus-edge", plus)):
+                planar = _embeds(g)
+                assert planar == _nx_planar(nx, g), (kind, encode_graph6(g))
+                seen.add((kind, planar))
+    assert seen == {(k, p) for k in ("gnp", "plus-edge") for p in (False, True)}
+
+
+def test_face_check_rejects_tampered_rotations():
+    octahedron = join(independent(2), join(independent(2), independent(2)))
+    act = (1 << octahedron.n) - 1
+    rot = _lr_rotation(octahedron.rows, act)
+    assert _is_plane_rotation(octahedron.rows, act, rot)
+    # swapping two neighbours at one vertex changes its cyclic order
+    swapped = dict(rot)
+    swapped[0] = [rot[0][1], rot[0][0], *rot[0][2:]]
+    assert not _is_plane_rotation(octahedron.rows, act, swapped)
+    omitted = dict(rot)
+    omitted[0] = rot[0][1:]
+    assert not _is_plane_rotation(octahedron.rows, act, omitted)
+    # the same cyclic order from another starting point is the same rotation
+    rotated = dict(rot)
+    rotated[0] = [*rot[0][1:], rot[0][0]]
+    assert _is_plane_rotation(octahedron.rows, act, rotated)
+
+
+def test_rejected_embedding_decides_nothing(monkeypatch):
+    # an embedder that calls every graph planar, with neighbours in label
+    # order, can only cost time: the face check rejects its rotations of
+    # nonplanar hosts and the search decides
+    rng = random.Random(4242)
+    hosts = [random_graph(rng, 8, 0.2 + 0.05 * i) for i in range(10)]
+    hs = [complete(5), complete_bipartite(3, 3), complete(4), complete_bipartite(2, 3)]
+    expected = [[has_minor(h, g) is not None for h in hs] for g in hosts]
+    verdicts = []
+
+    def label_order(rows, act):
+        return {v: list(_bits(rows[v] & act)) for v in _bits(act)}
+
+    def recorded(rows, act, rot):
+        verdicts.append(_is_plane_rotation(rows, act, rot))
+        return verdicts[-1]
+
+    monkeypatch.setattr(minors, "_lr_rotation", label_order)
+    monkeypatch.setattr(minors, "_is_plane_rotation", recorded)
+    assert [[has_minor(h, g) is not None for h in hs] for g in hosts] == expected
+    assert False in verdicts
+
+
+def test_planar_host_k33_answer_is_fast():
+    # planar, 9 vertices, 18 edges, minimum degree 3: no reduction applies,
+    # and the backtracker alone took over a second per call
+    g = parse_graph6("HzPIgMx")
+    rng = random.Random(9090)
+    for _ in range(6):
+        r = relabeled(rng, g)
+        start = time.perf_counter()
+        assert has_minor(complete_bipartite(3, 3), r) is None
+        assert time.perf_counter() - start < 0.5
+
+
+def test_elimination_width_settles_k6_in_k4_12():
+    # tw(K4,12) = 4 < 5 = degeneracy of K6; the backtracker took 12 s
+    start = time.perf_counter()
+    assert has_minor(complete(6), complete_bipartite(4, 12)) is None
+    assert time.perf_counter() - start < 3.0
+
+
+def test_edge_budget_separates_the_petersen_family():
+    # the members share 15 edges, so in the 10-vertex Petersen graph each
+    # smaller member would need 15 + 10 - n(H) > 15 edges
+    pet = petersen()
+    start = time.perf_counter()
+    for h in petersen_family():
+        assert (has_minor(h, pet) is not None) == are_isomorphic(h, pet)
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
