@@ -1,11 +1,18 @@
-"""Canonical forms for small graphs.
+"""Canonical forms and automorphisms for small graphs.
 
 Iterated degree refinement (each round recolors a vertex by its current color
 plus the multiset of neighbor colors) narrows the vertex partition; when cells
 remain, one vertex of the first non-singleton cell is individualized and the
 refinement repeats, branching over every choice. The canonical key is the
 minimum upper-triangle adjacency code over all refinement-discrete orderings,
-which is a complete isomorphism invariant. Intended for the sizes this package
+which is a complete isomorphism invariant. Each form lists every vertex's
+neighbors once and every refinement round reads those lists.
+
+Refinement from the uniform coloring commutes with relabeling, so every
+automorphism maps each refined cell onto itself; _automorphisms backtracks
+over maps that send each vertex into its own cell and lists the whole group.
+The atlas uses it to skip children that an automorphism of their parent
+shows isomorphic to an earlier child. Intended for the sizes this package
 enumerates (up to a dozen or so vertices), not for large graphs.
 """
 
@@ -16,15 +23,16 @@ from functools import lru_cache
 from .graph import Graph, _bits
 
 
-def _refine(rows, colors):
-    """Refine the coloring until stable. Colors are small ints; the new color
-    of v is the rank of (colors[v], sorted neighbor colors), so the refined
-    partition is always a sub-partition of the old one."""
-    n = len(rows)
+def _refine(nbrs, colors):
+    """Refine the coloring until stable; nbrs[v] lists v's neighbors. Colors
+    are small ints; the new color of v is the rank of (colors[v], sorted
+    neighbor colors), so the refined partition is always a sub-partition of
+    the old one."""
+    n = len(nbrs)
     ncolors = len(set(colors))
     while True:
         sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in _bits(rows[v]))))
+            (colors[v], tuple(sorted([colors[u] for u in nbrs[v]])))
             for v in range(n)
         ]
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
@@ -68,9 +76,9 @@ def _interchangeable(rows, cell):
     return True
 
 
-def _canonical_bits(rows, colors):
+def _least_code(rows, nbrs, colors):
     n = len(rows)
-    colors = _refine(rows, colors)
+    colors = _refine(nbrs, colors)
     cells = {}
     for v, c in enumerate(colors):
         cells.setdefault(c, []).append(v)
@@ -87,18 +95,51 @@ def _canonical_bits(rows, colors):
     for v in branch:
         branched = [2 * c + 1 for c in colors]
         branched[v] -= 1
-        sub = _canonical_bits(rows, branched)
+        sub = _least_code(rows, nbrs, branched)
         if best is None or sub < best:
             best = sub
     return best
 
 
+def _key(rows) -> tuple[int, int]:
+    """canonical_key of the graph with these adjacency rows."""
+    n = len(rows)
+    if n == 0:
+        return (0, 0)
+    return (n, _least_code(rows, [tuple(_bits(r)) for r in rows], [0] * n))
+
+
 @lru_cache(maxsize=1 << 16)
 def canonical_key(g: Graph) -> tuple[int, int]:
     """A value equal for two graphs iff they are isomorphic."""
-    if g.n == 0:
-        return (0, 0)
-    return (g.n, _canonical_bits(g.rows, [0] * g.n))
+    return _key(g.rows)
+
+
+def _automorphisms(rows) -> list[tuple[int, ...]]:
+    """Every automorphism of the graph with these adjacency rows, as tuples p
+    with p[v] the image of v, the identity first. Vertex v may only go to a
+    vertex of its refined cell that no earlier vertex took and whose
+    adjacency to the earlier images matches v's to the earlier vertices."""
+    n = len(rows)
+    colors = _refine([tuple(_bits(r)) for r in rows], [0] * n)
+    cell = [sum(1 << u for u in range(n) if colors[u] == c) for c in colors]
+    image = [0] * n
+    found = []
+
+    def extend(v, used):
+        if v == n:
+            found.append(tuple(image))
+            return
+        want = 0
+        for w in _bits(rows[v] & ((1 << v) - 1)):
+            want |= 1 << image[w]
+        for u in _bits(cell[v] & ~used):
+            if rows[u] & used == want:
+                image[v] = u
+                extend(v + 1, used | 1 << u)
+
+    extend(0, 0)
+    return found
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:

@@ -3,8 +3,10 @@ graphs of a fixed order, keep the family members, track the spectral-radius
 and edge-count maximizers, and compare them against the reference
 construction.
 
-Enumeration is exact up to 7 vertices (one representative per isomorphism
-class, grown by vertex augmentation with canonical-form deduplication).
+Enumeration is exact up to 7 vertices: one representative per isomorphism
+class, grown by vertex augmentation with canonical-form deduplication, where
+a child that an automorphism of its parent shows isomorphic to an earlier
+child of the same parent is skipped before its form is computed.
 Larger orders come in as graph6 streams. Scans can run on a process pool of
 at most min(jobs, CPU count, chunks) workers; chunking is fixed (64 graphs)
 and one fold combines graphs into chunk tallies and chunk tallies into the
@@ -28,8 +30,8 @@ from typing import Iterable, Iterator
 
 from .cdv import mu_at_most
 from .families import FamilySpec
-from .graph import Graph, decompose_apex_clique, encode_graph6, parse_graph6, recognize_residual
-from .canon import canonical_key
+from .graph import Graph, _bits, decompose_apex_clique, encode_graph6, parse_graph6, recognize_residual
+from .canon import _automorphisms, _key
 from .minors import has_minor
 from .spectral import DEFAULT_TOL, kst_lambda_bound, spectral_radius
 
@@ -45,23 +47,33 @@ _CHUNK = 64
 @lru_cache(maxsize=None)
 def _atlas(n: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class on exactly n vertices, built
-    by adding a vertex with every possible neighborhood to every class on
-    n - 1 vertices."""
+    by adding a vertex with every possible neighborhood mask to every class
+    on n - 1 vertices; the first child found in a class represents it.
+
+    A mask that an automorphism of the parent maps to a smaller mask is
+    skipped: its child is isomorphic to an earlier child of the same parent.
+    Following such maps down from any mask ends at a mask no listed
+    automorphism lowers, so the pruning stays exact with any subset of
+    Aut(parent), and the full group prunes the most. The first child of each
+    class is never skipped, so the representatives and their order are those
+    of the unpruned build."""
     if n == 0:
         return (Graph.empty(0),)
     reps: dict[tuple[int, int], Graph] = {}
+    top = 1 << (n - 1)
     for g in _atlas(n - 1):
+        auts = _automorphisms(g.rows)[1:]
         base = list(g.rows) + [0]
-        for mask in range(1 << (n - 1)):
+        for mask in range(top):
+            if any(sum(1 << p[v] for v in _bits(mask)) < mask for p in auts):
+                continue
             rows = list(base)
             rows[n - 1] = mask
-            for v in range(n - 1):
-                if mask >> v & 1:
-                    rows[v] |= 1 << (n - 1)
-            h = Graph(n, tuple(rows))
-            key = canonical_key(h)
+            for v in _bits(mask):
+                rows[v] |= top
+            key = _key(rows)
             if key not in reps:
-                reps[key] = h
+                reps[key] = Graph(n, tuple(rows))
     return tuple(reps.values())
 
 

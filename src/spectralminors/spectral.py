@@ -10,7 +10,9 @@ the all-ones vector (a regular component stops at iteration 1 with residual
 0.0), and stops when the infinity-norm eigen-residual |A x - lam x| is at
 most tol * max(1, lam), lam being the Rayleigh quotient of x. A tol below
 TOL_FLOOR, the float64 machine epsilon, is rejected up front: rounding alone
-keeps the residual above it.
+keeps the residual above it. A tol just above it can still be out of reach:
+once STAGNATION_WINDOW iterations in a row set no new least residual, the
+iteration raises ConvergenceError naming the least residual reached.
 
 Components with a small spectral gap, such as long paths, need Theta(k^2)
 iterations. A k-vertex component that has not stopped after k iterations,
@@ -37,11 +39,15 @@ from .graph import Graph, _bit_matrix, _bits, join
 
 ITERATION_CAP = 10 ** 6
 DEFAULT_TOL = 1e-12
-# A smaller tol would iterate to ITERATION_CAP before raising.
+# Rounding alone keeps the relative residual above a smaller tol.
 TOL_FLOOR = float(np.finfo(float).eps)
 # Largest component given the dense eigh seed: its k x k float64 matrix takes
 # 32 MiB at k = 2048, and k sparse products cost about one eigh.
 DENSE_SEED_MAX = 2048
+# Iterations without a new least residual after which the iteration gives up.
+# Converging runs set a new least residual every iteration or two, long paths
+# included; a run stuck at the rounding floor sets none.
+STAGNATION_WINDOW = 1000
 
 
 class ConvergenceError(RuntimeError):
@@ -78,6 +84,7 @@ def _component_power(src: np.ndarray, dst: np.ndarray, k: int,
     starts = np.flatnonzero(np.diff(src, prepend=-1))
     shift = float(np.diff(starts, append=len(src)).max()) + 1.0
     x = np.ones(k)
+    least, least_it = math.inf, 0
     for it in range(1, ITERATION_CAP + 1):
         if it == k + 1 and k <= DENSE_SEED_MAX:
             x = _dense_seed(src, dst, k)
@@ -87,6 +94,14 @@ def _component_power(src: np.ndarray, dst: np.ndarray, k: int,
         resid = float(np.abs(ax - lam * x).max())
         if resid <= tol * max(1.0, lam):
             return lam, x, resid, it
+        if resid < least:
+            least, least_it = resid, it
+        elif it - least_it >= STAGNATION_WINDOW:
+            raise ConvergenceError(
+                f"power iteration on a {k}-vertex component stagnated: no residual "
+                f"below the least, {least!r} at iteration {least_it}, in the "
+                f"{STAGNATION_WINDOW} iterations since; last lambda {lam!r}, "
+                f"tol*max(1, lambda) = {tol * max(1.0, lam)!r}")
         y = ax + shift * x
         x = y / y.max()
     raise ConvergenceError(

@@ -1,5 +1,7 @@
-"""The benchmark's stream-hosts workload at smoke size: its scans and K5/K3,3
-tests on G(8, p) hosts must pass the bench's own independent oracles."""
+"""Two benchmark workloads at smoke size, each against the bench's own
+independent oracles: stream-hosts (scans and K5/K3,3 tests on G(8, p) hosts)
+and atlas-scan (scans over the n = 6 atlas, whose graph count and pairwise
+non-isomorphism the bench checks with networkx)."""
 
 import json
 import subprocess
@@ -11,14 +13,25 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_stream_hosts_smoke_run_is_correct():
+def smoke_run(workload: str) -> dict:
     pytest.importorskip("networkx")
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--smoke", "--workload", "stream-hosts", "--seconds", "1"],
+        [sys.executable, "bench/run.py", "--smoke", "--workload", workload, "--seconds", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_stream_hosts_smoke_run_is_correct():
+    result = smoke_run("stream-hosts")
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["attempted"] > 0
+
+
+def test_atlas_scan_smoke_run_is_correct():
+    result = smoke_run("atlas-scan")
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0

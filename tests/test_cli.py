@@ -269,6 +269,7 @@ def test_dy_default_seed_builds_seven_obstructions(capsys):
     code, out, err = run_cli(["dy"], capsys)
     assert code == 0
     assert err == "count: 7\n"
+    assert out == "E~~w\nFF~~?\nF]~Hw\nGFzf?w\nGBZ~Co\nH@YnCpS\nI@QFCpSJ?\n"
     members = [parse_graph6(line) for line in out.splitlines()]
     assert len(members) == 7
     assert all(g.edge_count == 15 for g in members)

@@ -1,5 +1,6 @@
 """Enumeration, family scans, membership reports, and serialization."""
 
+import hashlib
 import math
 import os
 import random
@@ -32,6 +33,7 @@ from spectralminors import (
     spectral_radius,
     verify_membership,
 )
+from spectralminors import search
 from spectralminors.search import _pool_size
 
 from helpers import random_graph
@@ -55,10 +57,52 @@ def test_enumeration_connected_counts():
 
 def test_enumeration_no_duplicates():
     seen = set()
-    for g in enumerate_graphs(6):
+    for g in enumerate_graphs(7):
         key = canonical_key(g)
         assert key not in seen
         seen.add(key)
+
+
+def test_enumeration_representatives_are_pinned():
+    # the scans' argmax_g6 tie-breaks depend on which labelled graph stands
+    # for each class, so the atlas must keep the same graphs in the same order
+    atlas = "\n".join(encode_graph6(g) for n in range(8) for g in enumerate_graphs(n)) + "\n"
+    assert atlas.count("\n") == 1253
+    assert hashlib.sha256(atlas.encode()).hexdigest() == (
+        "434bc757ac10473178bb7ca3f96f58aac2d25897662c3b47ad070505a6808c87")
+
+
+def test_atlas_orbit_pruning(monkeypatch):
+    # a cold n <= 7 build computes 5,759 canonical forms, 11,291 without the
+    # pruning; for n <= 6, 663 and 1,307. With only part of each parent's
+    # group it prunes less and still builds the same atlas
+    full = [search._atlas(n) for n in range(8)]
+    key, auts = search._key, search._automorphisms
+    forms = []
+
+    def counted_key(rows):
+        forms.append(rows)
+        return key(rows)
+
+    monkeypatch.setattr(search, "_key", counted_key)
+    try:
+        search._atlas.cache_clear()
+        assert [search._atlas(n) for n in range(8)] == full
+        assert len(forms) == 5759
+        monkeypatch.setattr(search, "_automorphisms", lambda rows: auts(rows)[::2])
+        search._atlas.cache_clear()
+        forms.clear()
+        assert [search._atlas(n) for n in range(7)] == full[:7]
+        assert 663 < len(forms) < 1307
+    finally:
+        search._atlas.cache_clear()
+
+
+def test_canonical_keys_are_pinned():
+    # delta_y_closure sorts by canonical_key, so its values must not move
+    keys = repr([canonical_key(g) for n in range(8) for g in enumerate_graphs(n)])
+    assert hashlib.sha256(keys.encode()).hexdigest() == (
+        "8404112d8f07f577b6a39e51f6827b71e1e577a128cab613e8e074b3db1cf791")
 
 
 def test_enumeration_bounds():

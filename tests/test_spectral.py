@@ -135,6 +135,17 @@ def test_tolerance_below_rounding_fails_fast():
     assert spectral_radius(path(5), tol=float(np.finfo(float).eps)).lam > 0
 
 
+def test_unreachable_tolerance_stagnates_fast():
+    # 2.3e-16 is above the machine epsilon but below what rounding allows at
+    # lambda ~ 44.6: the least residual stops falling, and the solve stops
+    # long before ITERATION_CAP
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match=r"300-vertex component stagnated: "
+                       r"no residual below the least, \S+ at iteration \d+, in the 1000"):
+        spectral_radius(construct_kr_extremal(300, 8), tol=2.3e-16)
+    assert time.perf_counter() - start < 1.0
+
+
 def assert_relative_residual(res):
     assert res.residual <= 1e-12 * max(1.0, res.lam)
 
