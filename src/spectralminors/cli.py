@@ -18,6 +18,7 @@ answer is a success), 1 on domain errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -38,6 +39,7 @@ from .graph import (
 )
 from .minors import delta_y_closure, has_minor
 from .search import (
+    ENUMERATION_LIMIT,
     enumerate_graphs,
     report_to_json,
     reports_to_csv,
@@ -168,7 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive family scan at fixed order")
     _add_family_flags(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--source", help="graph6 file (default: internal enumeration, n <= 7)")
+    p.add_argument("--source",
+                   help=f"graph6 file (default: internal enumeration, n <= {ENUMERATION_LIMIT})")
     p.add_argument("--objective", choices=("lambda", "edges"), default="lambda")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--output", help="write to this path instead of stdout")
@@ -275,15 +278,8 @@ def _cmd_verify(args) -> int:
     family = args._family
     rep = verify_membership(g, family)
     if args.format == "json":
-        payload = {
-            "member": rep.member,
-            "lambda": rep.lam,
-            "bound": rep.bound,
-            "equality_structure": rep.equality_structure,
-            "apex_size": rep.apex_size,
-            "residual": rep.residual,
-            "congruent": rep.congruent,
-        }
+        payload = dataclasses.asdict(rep)
+        payload["lambda"] = payload.pop("lam")
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     print(f"member: {'yes' if rep.member else 'no'}")
@@ -321,8 +317,9 @@ def _tally(n: int, check) -> tuple[int, int]:
 
 
 def _cmd_report_problems(args) -> int:
-    if not 1 <= args.max_n <= 7:
-        raise ValueError("--max-n must be within the internal enumeration range 1..7")
+    if not 1 <= args.max_n <= ENUMERATION_LIMIT:
+        raise ValueError(
+            f"--max-n must be within the internal enumeration range 1..{ENUMERATION_LIMIT}")
     print("problem 1: e <= m*n - m(m+1)/2 over graphs with mu <= m")
     print("m  n  members  violations")
     for m in range(1, 5):

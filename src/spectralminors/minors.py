@@ -172,28 +172,8 @@ def _backtrack(h_rows, h_act: int, g_rows, g_act: int):
     earlier = []
     for i, v in enumerate(hvs):
         earlier.append(sorted(hpos[u] for u in _bits(h_rows[v] & h_act) if hpos[u] < i))
-    # needs[i]: for each component Q of H on the unplaced vertices hvs[i:],
-    # its size and the placed positions j < i adjacent to it.
-    needs = []
-    for i in range(hn + 1):
-        rest = sum(1 << v for v in hvs[i:])
-        needs.append([
-            (q.bit_count(), sorted({j for v in _bits(q) for j in earlier[hpos[v]] if j < i}))
-            for q in _components(h_rows, rest)
-        ])
     blocks = [0] * hn
     nbhd = [0] * hn
-
-    def feasible(i: int, free: int) -> bool:
-        # Necessary condition: every component Q of H restricted to the
-        # unplaced vertices must fit inside a single component C of G[free]
-        # (adjacent branch sets meet, so Q's sets land in one component), and
-        # C must touch the neighborhood of every placed set Q is adjacent to.
-        gcomps = _components(g_rows, free)
-        return all(
-            any(c.bit_count() >= size and all(nbhd[j] & c for j in js) for c in gcomps)
-            for size, js in needs[i]
-        )
 
     def candidates(free: int, cap: int, reqs):
         # Connected subsets of free with at most cap vertices meeting every
@@ -240,13 +220,10 @@ def _backtrack(h_rows, h_act: int, g_rows, g_act: int):
             for v in _bits(b):
                 nb |= g_rows[v]
             nbhd[i] = nb & ~b
-            nf = free & ~b
-            if feasible(i + 1, nf) and place(i + 1, nf):
+            if place(i + 1, free & ~b):
                 return True
         return False
 
-    if not feasible(0, g_act):
-        return None
     if place(0, g_act):
         return {hvs[i]: blocks[i] for i in range(hn)}
     return None

@@ -202,8 +202,6 @@ def verify_membership(g: Graph, family: FamilySpec, tol: float = DEFAULT_TOL) ->
             structure = congruent
         elif shape.kind == "disjoint_cliques" and shape.clique_size == t:
             structure = congruent
-        elif shape.kind == "independent" and t == 1:
-            structure = congruent
     return MembershipReport(member, lam, bound, structure, apex, residual_kind, congruent)
 
 
@@ -342,19 +340,8 @@ CSV_COLUMNS = (
 
 
 def _row(report: SearchReport) -> list[str]:
-    return [
-        str(report.n),
-        report.family,
-        report.params,
-        repr(report.max_lambda),
-        report.argmax_g6,
-        str(report.max_edges),
-        report.edge_argmax_g6,
-        repr(report.construction_lambda),
-        str(report.lambda_match),
-        str(report.bound_violations),
-        str(report.graphs_scanned),
-    ]
+    return [repr(v) if isinstance(v, float) else str(v)
+            for v in (getattr(report, c) for c in CSV_COLUMNS)]
 
 
 def reports_to_csv(reports: Iterable[SearchReport]) -> str:
@@ -367,12 +354,4 @@ def reports_to_csv(reports: Iterable[SearchReport]) -> str:
 
 
 def report_to_json(report: SearchReport) -> str:
-    payload = dict(zip(CSV_COLUMNS, _row(report)))
-    payload["n"] = report.n
-    payload["max_lambda"] = report.max_lambda
-    payload["max_edges"] = report.max_edges
-    payload["construction_lambda"] = report.construction_lambda
-    payload["lambda_match"] = report.lambda_match
-    payload["bound_violations"] = report.bound_violations
-    payload["graphs_scanned"] = report.graphs_scanned
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return json.dumps({c: getattr(report, c) for c in CSV_COLUMNS}, indent=2, sort_keys=True)

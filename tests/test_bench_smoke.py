@@ -1,7 +1,8 @@
-"""Two benchmark workloads at smoke size, each against the bench's own
-independent oracles: stream-hosts (scans and K5/K3,3 tests on G(8, p) hosts)
-and atlas-scan (scans over the n = 6 atlas, whose graph count and pairwise
-non-isomorphism the bench checks with networkx)."""
+"""Three benchmark workloads at smoke size, each against the bench's own
+independent oracles: stream-hosts (scans and K5/K3,3 tests on G(8, p) hosts),
+atlas-scan (scans over the n = 6 atlas, whose graph count and pairwise
+non-isomorphism the bench checks with networkx) and cli (fresh sml processes,
+among them search --jobs 2 on the process pool and report-problems)."""
 
 import json
 import subprocess
@@ -32,6 +33,13 @@ def test_stream_hosts_smoke_run_is_correct():
 
 def test_atlas_scan_smoke_run_is_correct():
     result = smoke_run("atlas-scan")
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["attempted"] > 0
+
+
+def test_cli_smoke_run_is_correct():
+    result = smoke_run("cli")
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0

@@ -1,5 +1,6 @@
 """Minor containment, witnesses, forbidden families, delta-wye closures."""
 
+import hashlib
 import random
 import time
 
@@ -161,6 +162,26 @@ def test_minors_of_reduced_hosts_lift():
             u, w = rng.choice(list(g.edges()))
             if has_minor(h, contract_edge(g, u, w)) is not None:
                 assert has_minor(h, g) is not None
+
+
+def test_witnesses_are_pinned():
+    # every branch set the search returns for the planarity, outerplanarity
+    # and linklessness obstructions over the n <= 7 atlas, hosts in atlas
+    # order and patterns inner
+    hs = [complete(4), complete_bipartite(2, 3), complete(5), complete_bipartite(3, 3)]
+    hs += petersen_family()
+    digest = hashlib.sha256()
+    pairs = yes = 0
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            for h in hs:
+                w = has_minor(h, g)
+                digest.update(repr(None if w is None else [sorted(b) for b in w.branch_sets]).encode())
+                pairs += 1
+                yes += w is not None
+    assert (pairs, yes) == (13783, 2000)
+    assert digest.hexdigest() == (
+        "981851852b18d822cb08b259a4302d2f25ffdc1a3cca3579fdefb335e14fdcf4")
 
 
 # ---------------------------------------------------------------------------
