@@ -47,6 +47,7 @@ from .search import (
     verify_membership,
 )
 from .spectral import (
+    DEFAULT_TOL,
     ConvergenceError,
     QuotientMatrix,
     kst_lambda_bound,
@@ -146,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lambda", help="spectral radius")
     p.add_argument("graph", help="graph6, name, or - for stdin")
-    p.add_argument("--tol", type=float, default=1e-10, help=_TOL_HELP)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help=_TOL_HELP)
     p.add_argument("--full", action="store_true",
                    help="also print vector, residual, iterations, lambda/sqrt(n)")
 
@@ -177,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="write to this path instead of stdout")
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes (SML_THREADS overrides; default: cpu count)")
-    p.add_argument("--tol", type=float, default=1e-10, help=_TOL_HELP)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help=_TOL_HELP)
 
     p = sub.add_parser("verify", help="membership report for one graph")
     _add_family_flags(p)

@@ -38,8 +38,19 @@ a minor of G, so each is exact:
   * outerplanarity: if H is not outerplanar and G plus one vertex joined to
     all of G has a planar embedding, G is outerplanar and so is every minor.
 
+The last three run only when the reduced G differs from H in order or size.
+Past the edge budget H is no larger than G in either, so a G of H's order and
+size has H as a minor iff G is isomorphic to H, which the search decides with
+single-vertex branch sets. A certificate only ever answers "no", so skipping
+one hands the query to the search with the same answer and the same witness.
+
 H's degeneracy and planarity class are cached per (H, active set); the class
 comes from has_minor on K5, K3,3, K4 and K2,3, not from the embedding code.
+Profiling a pattern P therefore searches hosts that are minors of P, and by
+the rule above every pattern profiled inside those searches is smaller than
+its host in order or size and larger in neither, so strictly smaller than P
+in order plus size: the recursion ends.
+
 An embedding counts only after planarity._is_plane_rotation accepts it on
 that call, so a nonplanar verdict or a rejected embedding decides nothing and
 the search runs as before: a fault there can cost time but not change an
@@ -211,9 +222,9 @@ def _backtrack(h_rows, h_act: int, g_rows, g_act: int):
         reqs = [nbhd[j] & free for j in earlier[i]]
         if any(r == 0 for r in reqs):
             return False
+        # at least 1: _search calls this with n(H) <= n(G), and every block
+        # placed left room for the rest
         cap = free.bit_count() - (hn - i - 1)
-        if cap < 1:
-            return False
         for b in candidates(free, cap, reqs):
             blocks[i] = b
             nb = 0
@@ -282,24 +293,10 @@ def _profile(h: Graph, h_act: int) -> tuple[int, bool, bool]:
     return _degeneracy(h.rows, h_act), nonplanar, nonplanar or not is_outerplanar(hs)
 
 
-# (h, h_act) pairs whose _profile is being computed. Those has_minor calls
-# reach _search with h itself as the pattern (is_planar(K5) asks for a K5 in
-# K5), where the certificates are skipped instead of recursing. Sharing the
-# set between threads can only skip a certificate, never change an answer.
-_PROFILING: set[tuple[Graph, int]] = set()
-
-
 def _excluded(h: Graph, h_act: int, g_rows, g_act: int) -> bool:
     """True if a certificate of the module docstring shows that H on h_act
     is not a minor of G on g_act."""
-    key = (h, h_act)
-    if key in _PROFILING:
-        return False
-    _PROFILING.add(key)
-    try:
-        degeneracy, nonplanar, nonouterplanar = _profile(h, h_act)
-    finally:
-        _PROFILING.discard(key)
+    degeneracy, nonplanar, nonouterplanar = _profile(h, h_act)
     if _elimination_width_below(g_rows, g_act, degeneracy):
         return True
     if nonplanar:
@@ -331,17 +328,13 @@ def _search(h: Graph, h_act: int, g_rows, g_act: int):
     # degree >= 2. A model of H uses |B| - 1 edges inside each branch set B
     # and e(H) between them, and the set U of unused vertices has 2|U| edge
     # ends on at least |U| further edges: e(G) >= e(H) + n(G) - n(H).
-    spare = gn - hn if d >= 2 else 0
-    if _mask_edges(h.rows, h_act) + spare > _mask_edges(g_rows, g_act):
+    he, ge = _mask_edges(h.rows, h_act), _mask_edges(g_rows, g_act)
+    if he + (gn - hn if d >= 2 else 0) > ge:
         return None
-    if _excluded(h, h_act, g_rows, g_act):
+    # a G of H's order and size contains H iff it is H (module docstring)
+    if (gn, ge) != (hn, he) and _excluded(h, h_act, g_rows, g_act):
         return None
     g_act = _twin_cap(g_rows, g_act, hn)
-    gn = g_act.bit_count()
-    if hn > gn:
-        return None
-    if gn == 1:
-        return {next(_bits(h_act)): g_act}
     for u in _bits(g_act):
         if g_rows[u] & g_act == g_act ^ (1 << u):
             gm = g_act ^ (1 << u)
@@ -364,8 +357,6 @@ def has_minor(h: Graph, g: Graph) -> MinorWitness | None:
     """Witness that h is a minor of g, or None. The witness maps every
     h-vertex to its branch set in g's labeling and always passes
     verify_witness."""
-    if h.n == 0:
-        return MinorWitness(())
     sol = _search(h, (1 << h.n) - 1, g.rows, (1 << g.n) - 1)
     if sol is None:
         return None

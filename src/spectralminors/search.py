@@ -89,8 +89,9 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
 
 def ingest_graph6_stream(path) -> Iterator[Graph]:
     """Lazily parse one graph per line from a graph6 file. Blank lines are
-    skipped; a malformed line raises ValueError naming the line number."""
-    with open(path, "r", encoding="ascii") as fh:
+    skipped; a malformed line, non-ASCII bytes included, raises ValueError
+    naming the line number."""
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -1,8 +1,10 @@
-"""Three benchmark workloads at smoke size, each against the bench's own
+"""All four benchmark workloads at smoke size, each against the bench's own
 independent oracles: stream-hosts (scans and K5/K3,3 tests on G(8, p) hosts),
 atlas-scan (scans over the n = 6 atlas, whose graph count and pairwise
-non-isomorphism the bench checks with networkx) and cli (fresh sml processes,
-among them search --jobs 2 on the process pool and report-problems)."""
+non-isomorphism the bench checks with networkx), large-spectral (joins on
+65-200 vertices and P40, against closed forms and networkx) and cli (fresh
+sml processes, among them search --jobs 2 on the process pool and
+report-problems)."""
 
 import json
 import subprocess
@@ -40,6 +42,13 @@ def test_atlas_scan_smoke_run_is_correct():
 
 def test_cli_smoke_run_is_correct():
     result = smoke_run("cli")
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["attempted"] > 0
+
+
+def test_large_spectral_smoke_run_is_correct():
+    result = smoke_run("large-spectral")
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0

@@ -305,6 +305,8 @@ def test_usage_errors_exit_two(capsys):
         ["construct", "--family", "kr", "--n", "5"],
         ["construct", "--family", "kr", "--r", "2", "--n", "5"],
         ["search", "--family", "kst", "--s", "3", "--t", "2", "--n", "5"],
+        ["search", "--family", "kst", "--s", "2", "--n", "5"],
+        ["verify", "--family", "cdv", "K4"],
         ["verify", "--family", "cdv", "--m", "5", "K4"],
         ["lambda"],
         ["nonsense"],

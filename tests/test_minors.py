@@ -383,6 +383,41 @@ def test_edge_budget_separates_the_petersen_family():
     assert time.perf_counter() - start < 1.0
 
 
+def test_hosts_of_equal_order_and_size_contain_only_themselves():
+    # the certificates skip a host of H's order and size, so the search alone
+    # decides these pairs; over the n <= 6 atlas it must find H only in H
+    by_size: dict[tuple[int, int], list[Graph]] = {}
+    for n in range(7):
+        for g in enumerate_graphs(n):
+            by_size.setdefault((g.n, g.edge_count), []).append(g)
+    pairs = yes = 0
+    for same in by_size.values():
+        for h in same:
+            for g in same:
+                w = has_minor(h, g)
+                assert (w is not None) == (g == h), (encode_graph6(h), encode_graph6(g))
+                pairs += 1
+                yes += w is not None
+    assert (pairs, yes) == (2889, 209)
+
+
+def test_pattern_profile_matches_networkx():
+    # degeneracy, nonplanar and not outerplanar, computed from scratch by
+    # minor tests that reach _profile again on smaller patterns only
+    nx = pytest.importorskip("networkx")
+    patterns = [g for n in range(7) for g in enumerate_graphs(n)]
+    patterns += [complete(6), complete_bipartite(3, 4), petersen(), *petersen_family()]
+    assert len(patterns) == 219
+    minors._profile.cache_clear()
+    for h in patterns:
+        ng = nx.Graph()
+        ng.add_nodes_from(range(h.n))
+        ng.add_edges_from(h.edges())
+        expected = (max(nx.core_number(ng).values(), default=0),
+                    not _nx_planar(nx, h), not _nx_planar(nx, join(h, complete(1))))
+        assert minors._profile(h, (1 << h.n) - 1) == expected, encode_graph6(h)
+
+
 # ---------------------------------------------------------------------------
 # Forbidden families
 

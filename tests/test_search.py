@@ -124,6 +124,10 @@ def test_ingest_stream_error_names_line(tmp_path):
     src.write_text("A_\n\nD\n")
     with pytest.raises(ValueError, match="line 3"):
         list(ingest_graph6_stream(src))
+    # a non-ASCII byte is a malformed line like any other
+    src.write_bytes(b"A_\nB\xc3\xa9\n")
+    with pytest.raises(ValueError, match="line 2: graph6 input is not ASCII"):
+        list(ingest_graph6_stream(src))
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +301,8 @@ def test_json_report():
 
 def test_family_spec():
     assert FamilySpec.kr_minor_free(4).label() == "K4-minor-free"
+    assert FamilySpec.kst_minor_free(2, 3).label() == "K2,3-minor-free"
+    assert FamilySpec.cdv_at_most(3).label() == "mu<=3"
     assert FamilySpec.kst_minor_free(2, 3).params_label() == "s=2,t=3"
     assert FamilySpec.cdv_at_most(3).params_label() == "m=3"
     with pytest.raises(ValueError):
@@ -307,6 +313,12 @@ def test_family_spec():
         FamilySpec.cdv_at_most(5)
     with pytest.raises(ValueError):
         FamilySpec.cdv_at_most(0)
+    for kind, params in (("kr", {"r": 4, "m": 2}), ("kst", {"s": 2, "t": 3, "r": 4}),
+                         ("cdv", {"m": 2, "t": 3})):
+        with pytest.raises(ValueError, match="takes only"):
+            FamilySpec(kind, **params)
+    with pytest.raises(ValueError, match="unknown family kind 'kt'"):
+        FamilySpec("kt", s=2, t=3)
 
 
 def test_family_constructions():
