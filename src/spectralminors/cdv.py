@@ -39,8 +39,9 @@ class MuClass:
 
 
 def classify_mu(g: Graph) -> MuClass:
-    """Smallest characterization level containing g. The ladder is evaluated
-    bottom up and purely through minor tests, no density shortcuts."""
+    """Smallest characterization level containing g, evaluated bottom up:
+    level 1 reads degrees and edge counts (a path union, the same as having
+    no K3 or K1,3 minor), levels 2-4 run minor tests on obstruction sets."""
     for value, (label, witness, test) in enumerate(_LEVELS, start=1):
         if test(g):
             return MuClass(value, label, witness)

@@ -29,6 +29,7 @@ from .cdv import check_problem1, check_problem2, classify_mu
 from .families import FamilySpec
 from .graph import (
     Graph,
+    check_order,
     complete,
     complete_bipartite,
     cycle,
@@ -81,9 +82,10 @@ def resolve_graph(text: str) -> Graph:
     m = _NAMED.match(text)
     if m:
         kind, a, b = m.group(1), int(m.group(2)), m.group(3)
+        if b is not None and kind != "K":
+            raise ValueError(f"two-part sizes only make sense for K: {text!r}")
+        check_order(a + int(b or 0))  # before any row is built
         if b is not None:
-            if kind != "K":
-                raise ValueError(f"two-part sizes only make sense for K: {text!r}")
             return complete_bipartite(a, int(b))
         if kind == "K":
             return complete(a)

@@ -20,6 +20,12 @@ MAX_VERTICES = 258047
 _G6_HEADER = ">>graph6<<"
 
 
+def check_order(n: int) -> None:
+    """Reject a vertex count outside [0, MAX_VERTICES]."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
+
+
 def _bits(mask: int):
     """Yield set bit indices of mask, ascending."""
     while mask:
@@ -53,8 +59,7 @@ class Graph:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 0 or self.n > MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside [0, {MAX_VERTICES}]")
+        check_order(self.n)
         if len(self.rows) != self.n:
             raise ValueError("adjacency row count does not match n")
         for u, row in enumerate(self.rows):
@@ -224,10 +229,8 @@ def encode_graph6(g: Graph) -> str:
     n = g.n
     if n <= 62:
         head = [n + 63]
-    elif n <= MAX_VERTICES:
-        head = [126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
     else:
-        raise ValueError(f"vertex count {n} exceeds graph6 limit {MAX_VERTICES}")
+        head = [126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
     bits = _bit_matrix(g.rows, n)[_graph6_triangle(n)]
     bits = np.concatenate([bits, np.zeros(-len(bits) % 6, np.uint8)])
     body = (np.packbits(bits.reshape(-1, 6), axis=1)[:, 0] >> 2) + 63

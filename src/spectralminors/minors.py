@@ -21,8 +21,10 @@ of H:
     or closed neighborhoods) larger than n(H) can lose its excess members, as
     any branch set using two twins can drop one of them;
   * universal peeling: if u is adjacent to every other vertex of G, then H is
-    a minor of G iff H is a minor of G-u or H-v is a minor of G-u for some
-    H-vertex v (take {u} as the branch set of v).
+    a minor of G iff H-v is a minor of G-u for some H-vertex v: add {u} as
+    v's branch set; conversely, drop from a model of H in G the branch set
+    holding u, or any one if u is unused. So H in G-u needs no search of its
+    own. One v per isomorphism class of H-v is tried.
 
 After the degree reductions, and before twin capping and the search, four
 certificates can answer "no" at once. Each applies to the reduced G, which is
@@ -30,8 +32,8 @@ a minor of G, so each is exact:
 
   * edge budget (d >= 2): every host vertex now has degree >= 2, so a model
     of H needs e(G) >= e(H) + n(G) - n(H) (argument at the test);
-  * elimination width: a minimum-degree elimination ordering of G of width
-    below the degeneracy of H shows tw(G) < tw(H), and treewidth is
+  * elimination width: a minimum-degree elimination ordering of G narrower
+    than H's minimum degree d shows tw(G) < d <= tw(H), and treewidth is
     minor-monotone;
   * planarity: if H is nonplanar and G has a planar embedding, H is not a
     minor of G, as minors of planar graphs are planar;
@@ -44,12 +46,12 @@ size has H as a minor iff G is isomorphic to H, which the search decides with
 single-vertex branch sets. A certificate only ever answers "no", so skipping
 one hands the query to the search with the same answer and the same witness.
 
-H's degeneracy and planarity class are cached per (H, active set); the class
-comes from has_minor on K5, K3,3, K4 and K2,3, not from the embedding code.
-Profiling a pattern P therefore searches hosts that are minors of P, and by
-the rule above every pattern profiled inside those searches is smaller than
-its host in order or size and larger in neither, so strictly smaller than P
-in order plus size: the recursion ends.
+H's planarity class (nonplanar, not outerplanar) is cached per (H, active
+set) and comes from has_minor on K5, K3,3, K4 and K2,3, not from the
+embedding code. Profiling a pattern P therefore searches hosts that are
+minors of P, and by the rule above every pattern profiled inside those
+searches is smaller than its host in order or size and larger in neither, so
+strictly smaller than P in order plus size: the recursion ends.
 
 An embedding counts only after planarity._is_plane_rotation accepts it on
 that call, so a nonplanar verdict or a rejected embedding decides nothing and
@@ -244,17 +246,6 @@ def _backtrack(h_rows, h_act: int, g_rows, g_act: int):
 # Certificates that H is not a minor
 
 
-def _degeneracy(rows, act: int) -> int:
-    """Largest minimum degree met while repeatedly deleting a vertex of
-    minimum degree from the graph on act."""
-    k = 0
-    while act:
-        v = min(_bits(act), key=lambda u: (rows[u] & act).bit_count())
-        k = max(k, (rows[v] & act).bit_count())
-        act ^= 1 << v
-    return k
-
-
 def _elimination_width_below(rows, act: int, k: int) -> bool:
     """True if a minimum-degree elimination ordering of the graph on act has
     width below k. Eliminating v joins its remaining neighbours into a
@@ -285,20 +276,20 @@ def _embeds(rows, act: int) -> bool:
 
 
 @lru_cache(maxsize=1024)
-def _profile(h: Graph, h_act: int) -> tuple[int, bool, bool]:
-    """(degeneracy, nonplanar, not outerplanar) of H on h_act, the last two
-    decided by has_minor on the K5, K3,3, K4 and K2,3 obstructions."""
+def _profile(h: Graph, h_act: int) -> tuple[bool, bool]:
+    """(nonplanar, not outerplanar) of H on h_act, decided by has_minor on
+    the K5, K3,3, K4 and K2,3 obstructions."""
     hs = h.induced_subgraph(_bits(h_act))
     nonplanar = not is_planar(hs)
-    return _degeneracy(h.rows, h_act), nonplanar, nonplanar or not is_outerplanar(hs)
+    return nonplanar, nonplanar or not is_outerplanar(hs)
 
 
-def _excluded(h: Graph, h_act: int, g_rows, g_act: int) -> bool:
-    """True if a certificate of the module docstring shows that H on h_act
-    is not a minor of G on g_act."""
-    degeneracy, nonplanar, nonouterplanar = _profile(h, h_act)
-    if _elimination_width_below(g_rows, g_act, degeneracy):
+def _excluded(h: Graph, h_act: int, d: int, g_rows, g_act: int) -> bool:
+    """True if a certificate of the module docstring shows that H on h_act,
+    of minimum degree d, is not a minor of G on g_act."""
+    if _elimination_width_below(g_rows, g_act, d):
         return True
+    nonplanar, nonouterplanar = _profile(h, h_act)
     if nonplanar:
         return _embeds(g_rows, g_act)
     if nonouterplanar:
@@ -332,7 +323,7 @@ def _search(h: Graph, h_act: int, g_rows, g_act: int):
     if he + (gn - hn if d >= 2 else 0) > ge:
         return None
     # a G of H's order and size contains H iff it is H (module docstring)
-    if (gn, ge) != (hn, he) and _excluded(h, h_act, g_rows, g_act):
+    if (gn, ge) != (hn, he) and _excluded(h, h_act, d, g_rows, g_act):
         return None
     g_act = _twin_cap(g_rows, g_act, hn)
     for u in _bits(g_act):
@@ -349,7 +340,7 @@ def _search(h: Graph, h_act: int, g_rows, g_act: int):
                 if sub is not None:
                     sub[v] = 1 << u
                     return sub
-            return _search(h, h_act, g_rows, gm)
+            return None
     return _backtrack(h.rows, h_act, g_rows, g_act)
 
 

@@ -4,7 +4,8 @@ atlas-scan (scans over the n = 6 atlas, whose graph count and pairwise
 non-isomorphism the bench checks with networkx), large-spectral (joins on
 65-200 vertices and P40, against closed forms and networkx) and cli (fresh
 sml processes, among them search --jobs 2 on the process pool and
-report-problems)."""
+report-problems); and the traced mode, which wraps the package's public
+functions by name and so breaks if one of them is renamed."""
 
 import json
 import subprocess
@@ -16,10 +17,11 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def smoke_run(workload: str) -> dict:
+def smoke_run(workload: str, *extra: str) -> dict:
     pytest.importorskip("networkx")
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--smoke", "--workload", workload, "--seconds", "1"],
+        [sys.executable, "bench/run.py", "--smoke", "--workload", workload, "--seconds", "1",
+         *extra],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -52,3 +54,13 @@ def test_large_spectral_smoke_run_is_correct():
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0
+
+
+def test_traced_smoke_run_reports_every_layer_metric():
+    result = smoke_run("stream-hosts", "--trace", "1")
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    manifest = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="ascii"))
+    names = [m["name"] for m in manifest["per_layer"]]
+    assert len(names) == 49
+    assert set(result["metrics"]) == set(names)

@@ -19,7 +19,9 @@ from spectralminors import (
     delete_vertex,
     enumerate_graphs,
     family_filter,
+    has_minor,
     independent,
+    is_path_union,
     join,
     mu_join_bound,
     mu_kmm_check,
@@ -75,6 +77,20 @@ def test_mu_at_most_matches_ladder():
     for m in (0, 5):
         with pytest.raises(ValueError):
             mu_at_most(complete(3), m)
+
+
+def test_path_union_is_the_k3_and_k13_minor_free_class():
+    # level 1 reads degrees and edge counts; this is the minor
+    # characterization it stands for
+    k3, k13 = complete(3), complete_bipartite(1, 3)
+    graphs = unions = 0
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            minor_free = has_minor(k3, g) is None and has_minor(k13, g) is None
+            assert is_path_union(g) == minor_free, g
+            graphs += 1
+            unions += minor_free
+    assert (graphs, unions) == (1253, 45)
 
 
 def test_construction_classes():

@@ -3,11 +3,13 @@
 import io
 import json
 import re
+import time
 
 import pytest
 
 from spectralminors.cli import build_parser, main, resolve_graph
 from spectralminors.graph import (
+    MAX_VERTICES,
     complete,
     complete_bipartite,
     construct_kst_extremal,
@@ -327,6 +329,14 @@ def test_domain_errors_exit_one(capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 1 and out == ""
         assert err.startswith("error:")
+    # names past the vertex limit fail before any row is built
+    for name, n in (("K300000", 300000), ("K3,258045", 258048),
+                    ("C300000", 300000), ("P300000", 300000)):
+        start = time.perf_counter()
+        code, out, err = run_cli(["lambda", name], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == f"error: vertex count {n} outside [0, {MAX_VERTICES}]\n"
 
 
 def test_resolve_graph_names():

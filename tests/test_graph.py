@@ -73,6 +73,10 @@ def test_constructor_rejects_bad_input():
         Graph.empty(-1)
     with pytest.raises(ValueError):
         Graph.empty(MAX_VERTICES + 1)
+    with pytest.raises(ValueError, match="row count"):
+        Graph(2, (1,))
+    with pytest.raises(ValueError, match="loops not allowed"):
+        Graph.empty(2).with_edge(1, 1)
     # the boundary itself is fine
     assert Graph.empty(MAX_VERTICES).n == MAX_VERTICES
 
@@ -235,6 +239,8 @@ def test_generators():
     assert independent(5).edge_count == 0
     assert path(5).edge_count == 4
     assert cycle(5).edge_count == 5
+    with pytest.raises(ValueError, match="at least 3"):
+        cycle(2)
     assert complete_bipartite(2, 3).edge_count == 6
     p = petersen()
     assert p.n == 10 and p.edge_count == 15
@@ -264,6 +270,10 @@ def test_delete_and_contract():
     assert tri.n == 3 and tri.edge_count == 3
     with pytest.raises(ValueError):
         contract_edge(g, 0, 2)  # not an edge
+    with pytest.raises(ValueError, match="out of range"):
+        delete_vertex(g, g.n)
+    with pytest.raises(ValueError, match="not an edge"):
+        delete_edge(g, 0, 2)
     # contracting a pendant edge of a path shortens it
     assert contract_edge(path(4), 0, 1) == path(3)
     # parallel edges collapse: contracting a triangle edge gives K2, not a multigraph

@@ -15,6 +15,7 @@ from spectralminors import (
     clique_completion_safe,
     complete,
     complete_bipartite,
+    construct_kst_extremal,
     contract_edge,
     cycle,
     delete_edge,
@@ -182,6 +183,46 @@ def test_witnesses_are_pinned():
     assert (pairs, yes) == (13783, 2000)
     assert digest.hexdigest() == (
         "981851852b18d822cb08b259a4302d2f25ffdc1a3cca3579fdefb335e14fdcf4")
+
+
+def test_apex_join_witnesses_are_pinned():
+    # every host has a universal vertex, so each query goes through
+    # universal peeling: K1 and K2 joined with every n <= 6 atlas graph,
+    # hosts in atlas order with K1 first, patterns as above and inner
+    hs = [complete(4), complete_bipartite(2, 3), complete(5), complete_bipartite(3, 3)]
+    hs += petersen_family()
+    digest = hashlib.sha256()
+    pairs = yes = 0
+    for n in range(7):
+        for g in enumerate_graphs(n):
+            for k in (1, 2):
+                host = join(complete(k), g)
+                for h in hs:
+                    w = has_minor(h, host)
+                    digest.update(repr(None if w is None else [sorted(b) for b in w.branch_sets]).encode())
+                    pairs += 1
+                    yes += w is not None
+    assert (pairs, yes) == (4598, 1594)
+    assert digest.hexdigest() == (
+        "15216f0c4a58b6d004748e79a3be18fdfa9d66abef22aefd0c11024072383ad7")
+
+
+def test_universal_peeling_stops_after_its_h_minus_v_searches(monkeypatch):
+    # K3,4 in K2 joined with five K4: peeling an apex vertex searches the
+    # rest for K2,4 and for K3,3 (each peeling the other apex in turn) and
+    # stops when both fail, with no search for K3,4 itself in the rest
+    h, g = complete_bipartite(3, 4), construct_kst_extremal(22, 3, 4)
+    assert has_minor(h, g) is None  # fills H's profile cache
+    search = minors._search
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return search(*args)
+
+    monkeypatch.setattr(minors, "_search", counting)
+    assert has_minor(h, g) is None
+    assert len(calls) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +408,7 @@ def test_planar_host_k33_answer_is_fast():
 
 
 def test_elimination_width_settles_k6_in_k4_12():
-    # tw(K4,12) = 4 < 5 = degeneracy of K6; the backtracker took 12 s
+    # tw(K4,12) = 4 < 5 = minimum degree of K6; the backtracker took 12 s
     start = time.perf_counter()
     assert has_minor(complete(6), complete_bipartite(4, 12)) is None
     assert time.perf_counter() - start < 3.0
@@ -402,20 +443,25 @@ def test_hosts_of_equal_order_and_size_contain_only_themselves():
 
 
 def test_pattern_profile_matches_networkx():
-    # degeneracy, nonplanar and not outerplanar, computed from scratch by
-    # minor tests that reach _profile again on smaller patterns only
+    # nonplanar and not outerplanar, computed from scratch by minor tests
+    # that reach _profile again on smaller patterns only
     nx = pytest.importorskip("networkx")
     patterns = [g for n in range(7) for g in enumerate_graphs(n)]
     patterns += [complete(6), complete_bipartite(3, 4), petersen(), *petersen_family()]
     assert len(patterns) == 219
     minors._profile.cache_clear()
     for h in patterns:
-        ng = nx.Graph()
-        ng.add_nodes_from(range(h.n))
-        ng.add_edges_from(h.edges())
-        expected = (max(nx.core_number(ng).values(), default=0),
-                    not _nx_planar(nx, h), not _nx_planar(nx, join(h, complete(1))))
+        expected = (not _nx_planar(nx, h), not _nx_planar(nx, join(h, complete(1))))
         assert minors._profile(h, (1 << h.n) - 1) == expected, encode_graph6(h)
+    # the elimination-width certificate is bounded by the minimum degree
+    # rather than the degeneracy; on the patterns the scans test for they
+    # are equal, so the certificate is as strong as the degeneracy's there
+    scanned = [complete(r) for r in range(3, 7)]
+    scanned += [complete_bipartite(s, t) for s, t in ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4))]
+    scanned += petersen_family()
+    for h in scanned:
+        ng = nx.Graph(list(h.edges()))
+        assert min(h.degrees()) == max(nx.core_number(ng).values()), encode_graph6(h)
 
 
 # ---------------------------------------------------------------------------

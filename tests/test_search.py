@@ -188,6 +188,12 @@ def test_verify_membership_independent_residual():
     assert rep.member
     assert rep.residual == "independent"
     assert not rep.equality_structure
+    # every vertex in the apex clique: the residual is empty, and the
+    # structure holds iff n is congruent; n < s leaves no bound
+    rep = verify_membership(complete(2), FamilySpec.kst_minor_free(3, 4))
+    assert rep.equality_structure is True
+    assert rep.residual == "independent"
+    assert rep.bound is None
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +333,8 @@ def test_family_constructions():
     assert FamilySpec.cdv_at_most(3).construction(6).edge_count == 12
     # the m=1 family peaks at a path
     assert FamilySpec.cdv_at_most(1).construction(5) == path(5)
+    with pytest.raises(ValueError, match="need n >= 1"):
+        FamilySpec.cdv_at_most(1).construction(0)
 
 
 def test_family_forbidden_minor():

@@ -269,6 +269,8 @@ def test_rayleigh_delta_errors():
         rayleigh_delta(g, [1.0] * 4, [], [(2, 2)])  # loop
     with pytest.raises(ValueError):
         rayleigh_delta(g, [1.0] * 4, [], [(0, 9)])  # out of range
+    with pytest.raises(ValueError, match="loop or malformed edge"):
+        rayleigh_delta(path(3), [1, 1, 1], [(1, 1)], [])  # removed loop
 
 
 # ---------------------------------------------------------------------------
