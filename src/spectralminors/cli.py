@@ -29,7 +29,6 @@ from .cdv import check_problem1, check_problem2, classify_mu
 from .families import FamilySpec
 from .graph import (
     Graph,
-    check_order,
     complete,
     complete_bipartite,
     cycle,
@@ -84,7 +83,6 @@ def resolve_graph(text: str) -> Graph:
         kind, a, b = m.group(1), int(m.group(2)), m.group(3)
         if b is not None and kind != "K":
             raise ValueError(f"two-part sizes only make sense for K: {text!r}")
-        check_order(a + int(b or 0))  # before any row is built
         if b is not None:
             return complete_bipartite(a, int(b))
         if kind == "K":
@@ -97,17 +95,7 @@ def resolve_graph(text: str) -> Graph:
 
 def _family_from_args(parser: argparse.ArgumentParser, args) -> FamilySpec:
     try:
-        if args.family == "kr":
-            if args.r is None:
-                parser.error("--family kr requires --r")
-            return FamilySpec.kr_minor_free(args.r)
-        if args.family == "kst":
-            if args.s is None or args.t is None:
-                parser.error("--family kst requires --s and --t")
-            return FamilySpec.kst_minor_free(args.s, args.t)
-        if args.m is None:
-            parser.error("--family cdv requires --m")
-        return FamilySpec.cdv_at_most(args.m)
+        return FamilySpec(args.family, r=args.r, s=args.s, t=args.t, m=args.m)
     except ValueError as exc:
         parser.error(str(exc))
 

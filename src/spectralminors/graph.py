@@ -74,14 +74,16 @@ class Graph:
 
     @staticmethod
     def empty(n: int) -> "Graph":
+        check_order(n)
         return Graph(n, (0,) * n)
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
+        """Graph on n vertices with the given edges. n is checked before
+        edges is read, so the builders pass their edges as generators."""
+        check_order(n)
         rows = [0] * n
         for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             rows[u] |= 1 << v
@@ -242,6 +244,7 @@ def encode_graph6(g: Graph) -> str:
 
 
 def complete(n: int) -> Graph:
+    check_order(n)
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 
@@ -251,17 +254,19 @@ def independent(n: int) -> Graph:
 
 
 def path(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
-    return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    if a < 0 or b < 0:
+        raise ValueError(f"part sizes must be nonnegative, got {a} and {b}")
+    return Graph.from_edges(a + b, ((i, a + j) for i in range(a) for j in range(b)))
 
 
 def petersen() -> Graph:
@@ -274,6 +279,7 @@ def petersen() -> Graph:
 
 def disjoint_union(*graphs: Graph) -> Graph:
     n = sum(g.n for g in graphs)
+    check_order(n)
     rows = []
     off = 0
     for g in graphs:
@@ -289,8 +295,7 @@ def disjoint_union(*graphs: Graph) -> Graph:
 def join(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union of g1 and g2 plus all edges between them."""
     n = g1.n + g2.n
-    if n > MAX_VERTICES:
-        raise ValueError(f"join on {n} vertices exceeds the representation limit")
+    check_order(n)
     m1 = (1 << g1.n) - 1
     m2 = ((1 << g2.n) - 1) << g1.n
     rows = [r | m2 for r in g1.rows]

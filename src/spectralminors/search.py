@@ -30,7 +30,8 @@ from typing import Iterable, Iterator
 
 from .cdv import mu_at_most
 from .families import FamilySpec
-from .graph import Graph, _bits, decompose_apex_clique, encode_graph6, parse_graph6, recognize_residual
+from .graph import (Graph, ResidualShape, _bits, decompose_apex_clique, encode_graph6,
+                    parse_graph6, recognize_residual)
 from .canon import _automorphisms, _key
 from .minors import has_minor
 from .spectral import DEFAULT_TOL, kst_lambda_bound, spectral_radius
@@ -185,7 +186,7 @@ def verify_membership(g: Graph, family: FamilySpec, tol: float = DEFAULT_TOL) ->
         return MembershipReport(member, lam, None, None)
     s, t = family.s, family.t
     bound = kst_lambda_bound(g.n, s, t) if g.n >= s else None
-    univ, rest = decompose_apex_clique(g)
+    univ = decompose_apex_clique(g)[0]
     apex = len(univ)
     congruent = g.n % t == (s - 1) % t
     structure = False
@@ -199,10 +200,8 @@ def verify_membership(g: Graph, family: FamilySpec, tol: float = DEFAULT_TOL) ->
         residual = g.induced_subgraph(rest_vertices)
         shape = recognize_residual(residual)
         residual_kind = shape.kind
-        if residual.n == 0:
-            structure = congruent
-        elif shape.kind == "disjoint_cliques" and shape.clique_size == t:
-            structure = congruent
+        structure = congruent and (
+            residual.n == 0 or shape == ResidualShape("disjoint_cliques", t))
     return MembershipReport(member, lam, bound, structure, apex, residual_kind, congruent)
 
 

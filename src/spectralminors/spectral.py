@@ -219,8 +219,6 @@ def check_interlacing_bound(h1: Graph, h2: Graph, tol: float = DEFAULT_TOL) -> I
     degs1 = set(h1.degrees())
     if len(degs1) > 1:
         raise ValueError("first factor must be regular")
-    if h1.n < 1 or h2.n < 1:
-        raise ValueError("both factors must be nonempty")
     d = degs1.pop() if degs1 else 0
     k = h2.max_degree()
     bound = quotient_bound(QuotientMatrix(d, k, h1.n, h2.n))

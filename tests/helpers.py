@@ -1,12 +1,21 @@
-"""Shared test utilities: an independent brute-force minor oracle built on
-set partitions, a girth computation, and small random-graph builders."""
+"""Shared test utilities: two minor oracles independent of the backtracker
+(brute force over set partitions, and a minor-closure table over the atlas),
+a girth computation, and small random-graph builders."""
 
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import combinations, permutations
 
-from spectralminors import Graph
+from spectralminors import (
+    Graph,
+    canonical_key,
+    contract_edge,
+    delete_edge,
+    delete_vertex,
+    enumerate_graphs,
+)
 
 
 def set_partitions_exact(items: list, k: int):
@@ -73,6 +82,39 @@ def oracle_has_minor(h: Graph, g: Graph) -> bool:
                            for a, b in hedges):
                         return True
     return False
+
+
+# The minor-closure table covers the atlas up to this order.
+TABLE_ORDER = 7
+
+
+@cache
+def _minor_closure() -> dict:
+    """canonical_key -> (class index, bitset over the class indices of its
+    minors) for every atlas class up to TABLE_ORDER vertices. The minors of G are G itself plus the
+    minors of every G - v, G - e and G / e, each of smaller (order, size), so
+    classes processed in that order find their one-step minors done."""
+    classes = sorted((g for n in range(TABLE_ORDER + 1) for g in enumerate_graphs(n)),
+                     key=lambda g: (g.n, g.edge_count))
+    table = {}
+    for i, g in enumerate(classes):
+        minors = 1 << i
+        steps = [delete_vertex(g, v) for v in range(g.n)]
+        for u, v in g.edges():
+            steps += [delete_edge(g, u, v), contract_edge(g, u, v)]
+        for m in steps:
+            minors |= table[canonical_key(m)][1]
+        table[canonical_key(g)] = (i, minors)
+    return table
+
+
+def table_has_minor(h: Graph, g: Graph) -> bool:
+    """Whether H is a minor of G (at most TABLE_ORDER vertices), read from
+    the minor-closure table. An H on more vertices is never one."""
+    if h.n > TABLE_ORDER:
+        return False
+    table = _minor_closure()
+    return bool(table[canonical_key(g)][1] >> table[canonical_key(h)][0] & 1)
 
 
 def girth(g: Graph) -> int | None:

@@ -310,6 +310,11 @@ def test_usage_errors_exit_two(capsys):
         ["search", "--family", "kst", "--s", "2", "--n", "5"],
         ["verify", "--family", "cdv", "K4"],
         ["verify", "--family", "cdv", "--m", "5", "K4"],
+        # a flag the chosen family does not take
+        ["construct", "--family", "kr", "--r", "5", "--m", "3", "--n", "6"],
+        ["construct", "--family", "cdv", "--m", "3", "--s", "2", "--t", "9", "--n", "6"],
+        ["verify", "--family", "kst", "--s", "2", "--t", "3", "--r", "9", "K4"],
+        ["search", "--family", "cdv", "--m", "3", "--s", "2", "--n", "5"],
         ["lambda"],
         ["nonsense"],
     ):
@@ -317,6 +322,10 @@ def test_usage_errors_exit_two(capsys):
             main(argv)
         assert exc.value.code == 2
         capsys.readouterr()
+    # the family's own message names what it takes
+    with pytest.raises(SystemExit):
+        main(["construct", "--family", "kr", "--r", "5", "--m", "3", "--n", "6"])
+    assert "kr family takes only r" in capsys.readouterr().err
 
 
 def test_domain_errors_exit_one(capsys):

@@ -2,6 +2,7 @@
 
 import random
 import re
+import time
 
 import pytest
 
@@ -57,8 +58,10 @@ def test_from_edges_and_accessors():
 
 
 def test_constructor_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="loop at vertex 0"):
         Graph.from_edges(3, [(0, 0)])
+    with pytest.raises(ValueError, match="out of range"):
+        Graph.from_edges(3, [(5, 5)])
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 3)])
     with pytest.raises(ValueError):
@@ -245,6 +248,22 @@ def test_generators():
     p = petersen()
     assert p.n == 10 and p.edge_count == 15
     assert p.degrees() == (3,) * 10
+
+
+def test_builders_check_the_order_before_allocating():
+    # each of these would build gigabytes of rows or edge tuples first
+    for build, args in ((complete, (300000,)), (path, (300000,)), (cycle, (300000,)),
+                        (complete_bipartite, (3, MAX_VERTICES - 2)),
+                        (complete_bipartite, (200000, 100000)),
+                        (disjoint_union, (Graph.empty(200000), Graph.empty(100000)))):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="vertex count"):
+            build(*args)
+        assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError):
+        complete_bipartite(-1, 3)
+    with pytest.raises(ValueError):
+        complete(-2)
 
 
 def test_join():

@@ -46,7 +46,7 @@ from spectralminors.graph import _bits
 from spectralminors.minors import max_degree_residual_bound, triangles
 from spectralminors.planarity import _is_plane_rotation, _lr_rotation
 
-from helpers import girth, oracle_has_minor, random_graph, relabeled
+from helpers import girth, oracle_has_minor, random_graph, relabeled, table_has_minor
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +168,8 @@ def test_minors_of_reduced_hosts_lift():
 def test_witnesses_are_pinned():
     # every branch set the search returns for the planarity, outerplanarity
     # and linklessness obstructions over the n <= 7 atlas, hosts in atlas
-    # order and patterns inner
+    # order and patterns inner; every answer agrees with the minor-closure
+    # table
     hs = [complete(4), complete_bipartite(2, 3), complete(5), complete_bipartite(3, 3)]
     hs += petersen_family()
     digest = hashlib.sha256()
@@ -177,12 +178,28 @@ def test_witnesses_are_pinned():
         for g in enumerate_graphs(n):
             for h in hs:
                 w = has_minor(h, g)
+                assert (w is not None) == table_has_minor(h, g), (encode_graph6(h), encode_graph6(g))
                 digest.update(repr(None if w is None else [sorted(b) for b in w.branch_sets]).encode())
                 pairs += 1
                 yes += w is not None
     assert (pairs, yes) == (13783, 2000)
     assert digest.hexdigest() == (
         "981851852b18d822cb08b259a4302d2f25ffdc1a3cca3579fdefb335e14fdcf4")
+
+
+def test_small_patterns_agree_with_the_minor_closure_table():
+    # patterns outside the obstruction sets, against every n <= 7 atlas host
+    hs = [complete(3), path(3), cycle(4), cycle(5), complete_bipartite(1, 3),
+          complete_bipartite(3, 4)]
+    pairs = yes = 0
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            for h in hs:
+                found = has_minor(h, g) is not None
+                assert found == table_has_minor(h, g), (encode_graph6(h), encode_graph6(g))
+                pairs += 1
+                yes += found
+    assert (pairs, yes) == (7518, 5607)
 
 
 def test_apex_join_witnesses_are_pinned():

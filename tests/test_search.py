@@ -1,6 +1,8 @@
 """Enumeration, family scans, membership reports, and serialization."""
 
+import csv
 import hashlib
+import io
 import math
 import os
 import random
@@ -270,9 +272,6 @@ def test_search_max_edges_mader_spot():
 
 
 def test_csv_round_structure():
-    import csv
-    import io
-
     family = FamilySpec.kst_minor_free(2, 2)
     r5 = scan_family(family, 5)
     r6 = scan_family(family, 6)
@@ -284,6 +283,21 @@ def test_csv_round_structure():
     assert rows[1][2] == "s=2,t=2"
     # repr floats survive a parse round trip exactly
     assert float(rows[1][3]) == r5.max_lambda
+
+
+def test_small_scan_reports_are_pinned():
+    # the kr, kst and cdv scans at n = 5 and 6, n outer; the two lambda
+    # columns are dropped because their last bits depend on the BLAS build
+    families = [FamilySpec.kr_minor_free(r) for r in range(3, 7)]
+    families += [FamilySpec.kst_minor_free(s, t) for s, t in ((2, 2), (2, 3), (2, 4), (3, 3))]
+    families += [FamilySpec.cdv_at_most(m) for m in range(1, 5)]
+    reports = [scan_family(f, n, jobs=1) for n in (5, 6) for f in families]
+    rows = list(csv.reader(io.StringIO(reports_to_csv(reports))))
+    keep = [i for i, c in enumerate(rows[0]) if c not in ("max_lambda", "construction_lambda")]
+    text = "".join(",".join(row[i] for i in keep) + "\n" for row in rows)
+    assert len(rows) == 25
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f9b5ff94c8c7d88a1947dffd7f904e1e8efc24d8dd76170a8746d6f8d2b7bab0")
 
 
 def test_json_report():
