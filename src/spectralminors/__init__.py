@@ -45,7 +45,6 @@ from .graph import (
     recognize_residual,
 )
 from .minors import (
-    ForbiddenFamily,
     MinorWitness,
     delta_to_y,
     delta_y_closure,

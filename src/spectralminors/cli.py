@@ -93,31 +93,13 @@ def resolve_graph(text: str) -> Graph:
     return parse_graph6(text)
 
 
-def _family_from_args(parser: argparse.ArgumentParser, args) -> FamilySpec:
-    try:
-        return FamilySpec(args.family, r=args.r, s=args.s, t=args.t, m=args.m)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
 def _add_family_flags(p: argparse.ArgumentParser):
+    p.set_defaults(family_parser=p)
     p.add_argument("--family", required=True, choices=("kr", "kst", "cdv"))
     p.add_argument("--r", type=int)
     p.add_argument("--s", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("--m", type=int)
-
-
-def _default_jobs(flag: int | None) -> int:
-    env = os.environ.get("SML_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"SML_THREADS is not an integer: {env!r}")
-    if flag is not None:
-        return max(1, flag)
-    return os.cpu_count() or 1
 
 
 _TOL_HELP = ("power iteration stops when the eigen-residual |Ax - lambda x| is at most "
@@ -166,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=("lambda", "edges"), default="lambda")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--output", help="write to this path instead of stdout")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (SML_THREADS overrides; default: cpu count)")
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                   help="worker processes (default: cpu count)")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL, help=_TOL_HELP)
 
     p = sub.add_parser("verify", help="membership report for one graph")
@@ -236,8 +218,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_search(args) -> int:
     family = args._family
-    jobs = _default_jobs(args.jobs)
-    report = scan_family(family, args.n, source=args.source, jobs=jobs, tol=args.tol)
+    report = scan_family(family, args.n, source=args.source, jobs=args.jobs, tol=args.tol)
     if args.format == "csv":
         out = reports_to_csv([report])
     elif args.format == "json":
@@ -342,8 +323,11 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("construct", "search", "verify"):
-        args._family = _family_from_args(parser, args)
+    if "family_parser" in args:
+        try:
+            args._family = FamilySpec(args.family, r=args.r, s=args.s, t=args.t, m=args.m)
+        except ValueError as exc:
+            args.family_parser.error(str(exc))
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, ConvergenceError, OSError) as exc:

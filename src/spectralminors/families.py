@@ -13,7 +13,6 @@ from .graph import (
     construct_cdv_extremal,
     construct_kr_extremal,
     construct_kst_extremal,
-    path,
 )
 
 
@@ -88,10 +87,4 @@ class FamilySpec:
             return construct_kr_extremal(n, self.r)
         if self.kind == "kst":
             return construct_kst_extremal(n, self.s, self.t)
-        if self.m == 1:
-            # The m >= 2 constructor degenerates here; the path is the
-            # natural extreme point among disjoint unions of paths.
-            if n < 1:
-                raise ValueError("need n >= 1")
-            return path(n)
         return construct_cdv_extremal(n, self.m)

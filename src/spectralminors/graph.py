@@ -375,9 +375,9 @@ def construct_kst_extremal(n: int, s: int, t: int) -> Graph:
 
 
 def construct_cdv_extremal(n: int, m: int) -> Graph:
-    """K_{m-1} joined with a path on n-m+1 vertices."""
-    if m < 2:
-        raise ValueError("m must be at least 2")
+    """K_{m-1} joined with a path on n-m+1 vertices (P_n itself at m = 1)."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
     if n < m:
         raise ValueError(f"need n >= m, got n={n}, m={m}")
     return join(complete(m - 1), path(n - m + 1))

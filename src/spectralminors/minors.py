@@ -426,18 +426,6 @@ def delta_y_closure(seed: Graph) -> tuple[Graph, ...]:
     return tuple(sorted(seen.values(), key=lambda x: (x.n, x.edge_count, canonical_key(x))))
 
 
-@dataclass(frozen=True)
-class ForbiddenFamily:
-    """A named finite obstruction set: g belongs to the associated class iff
-    none of the members is a minor of g."""
-
-    name: str
-    members: tuple[Graph, ...]
-
-    def excludes(self, g: Graph) -> bool:
-        return all(has_minor(m, g) is None for m in self.members)
-
-
 @lru_cache(maxsize=1)
 def petersen_family() -> tuple[Graph, ...]:
     """The delta-wye closure of K_6 (seven graphs, all with 15 edges)."""
@@ -445,30 +433,34 @@ def petersen_family() -> tuple[Graph, ...]:
 
 
 @lru_cache(maxsize=1)
-def outerplanar_obstructions() -> ForbiddenFamily:
-    return ForbiddenFamily("outerplanar", (complete(4), complete_bipartite(2, 3)))
+def outerplanar_obstructions() -> tuple[Graph, ...]:
+    return complete(4), complete_bipartite(2, 3)
 
 
 @lru_cache(maxsize=1)
-def planar_obstructions() -> ForbiddenFamily:
-    return ForbiddenFamily("planar", (complete(5), complete_bipartite(3, 3)))
+def planar_obstructions() -> tuple[Graph, ...]:
+    return complete(5), complete_bipartite(3, 3)
 
 
-@lru_cache(maxsize=1)
-def linkless_obstructions() -> ForbiddenFamily:
-    return ForbiddenFamily("linkless", petersen_family())
+def linkless_obstructions() -> tuple[Graph, ...]:
+    return petersen_family()
+
+
+def _excludes(obstructions: tuple[Graph, ...], g: Graph) -> bool:
+    """True iff no obstruction is a minor of g."""
+    return all(has_minor(h, g) is None for h in obstructions)
 
 
 def is_outerplanar(g: Graph) -> bool:
-    return outerplanar_obstructions().excludes(g)
+    return _excludes(outerplanar_obstructions(), g)
 
 
 def is_planar(g: Graph) -> bool:
-    return planar_obstructions().excludes(g)
+    return _excludes(planar_obstructions(), g)
 
 
 def is_linkless(g: Graph) -> bool:
-    return linkless_obstructions().excludes(g)
+    return _excludes(linkless_obstructions(), g)
 
 
 # ---------------------------------------------------------------------------

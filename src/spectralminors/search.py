@@ -30,8 +30,8 @@ from typing import Iterable, Iterator
 
 from .cdv import mu_at_most
 from .families import FamilySpec
-from .graph import (Graph, ResidualShape, _bits, decompose_apex_clique, encode_graph6,
-                    parse_graph6, recognize_residual)
+from .graph import (Graph, ResidualShape, _bits, complete, decompose_apex_clique,
+                    encode_graph6, join, parse_graph6, recognize_residual)
 from .canon import _automorphisms, _key
 from .minors import has_minor
 from .spectral import DEFAULT_TOL, kst_lambda_bound, spectral_radius
@@ -186,18 +186,16 @@ def verify_membership(g: Graph, family: FamilySpec, tol: float = DEFAULT_TOL) ->
         return MembershipReport(member, lam, None, None)
     s, t = family.s, family.t
     bound = kst_lambda_bound(g.n, s, t) if g.n >= s else None
-    univ = decompose_apex_clique(g)[0]
+    univ, rest = decompose_apex_clique(g)
     apex = len(univ)
     congruent = g.n % t == (s - 1) % t
     structure = False
     residual_kind = None
     if apex >= s - 1:
-        # Keep s-1 universal vertices as the apex clique; the rest of the
-        # universal vertices stay in the residual (a complete graph joined on
-        # extra universal vertices is itself a union of cliques case).
-        keep = set(univ[: s - 1])
-        rest_vertices = [v for v in range(g.n) if v not in keep]
-        residual = g.induced_subgraph(rest_vertices)
+        # Keep s-1 universal vertices as the apex clique; the other
+        # apex-s+1 stay in the residual, joined to the rest (a complete graph
+        # joined on extra universal vertices is itself a union of cliques case).
+        residual = join(complete(apex - s + 1), rest)
         shape = recognize_residual(residual)
         residual_kind = shape.kind
         structure = congruent and (
@@ -252,7 +250,7 @@ def _scan_chunk(family: FamilySpec, chunk: list[Graph], bound: float | None, tol
     for g in chunk:
         if not family_filter(family, g):
             continue
-        lam = spectral_radius(g, tol).lam if g.n >= 1 else 0.0
+        lam = spectral_radius(g, tol).lam
         g6 = encode_graph6(g)
         violation = int(bound is not None and lam > bound + MATCH_TOL)
         acc = _fold(acc, (0, 1, lam, g6, g.edge_count, g6, violation))
@@ -289,9 +287,10 @@ def scan_family(
     keep the family members, and report both maximizers against the
     construction."""
     graphs = _resolve_source(n, source)
-    bound = None
-    if family.kind == "kst" and n >= family.s:
-        bound = kst_lambda_bound(n, family.s, family.t)
+    # an order with no construction (every one needs n >= 1) fails here,
+    # before any graph is scanned
+    cons = family.construction(n)
+    bound = kst_lambda_bound(n, family.s, family.t) if family.kind == "kst" else None
     chunks = [graphs[i:i + _CHUNK] for i in range(0, len(graphs), _CHUNK)] or [[]]
     workers = _pool_size(jobs, len(chunks))
     if workers > 1:
@@ -303,8 +302,7 @@ def scan_family(
     scanned, _, best_lam, best_lam_g6, best_e, best_e_g6, violations = reduce(_fold, parts, _EMPTY)
     if best_lam is None:
         raise ValueError(f"no member of {family.label()} among the {scanned} graphs scanned")
-    cons = family.construction(n)
-    cons_lam = spectral_radius(cons, tol).lam if cons.n >= 1 else 0.0
+    cons_lam = spectral_radius(cons, tol).lam
     return SearchReport(
         n=n,
         family=family.kind,

@@ -204,20 +204,16 @@ def test_search_csv_output_file(tmp_path, capsys):
     assert lines[1].startswith("5,kr,r=3,")
 
 
-def test_search_env_thread_override(capsys, monkeypatch):
-    code, serial, _ = run_cli(
-        ["search", "--family", "kr", "--r", "3", "--n", "5", "--jobs", "1"], capsys
-    )
-    assert code == 0
-    monkeypatch.setenv("SML_THREADS", "2")
-    code, threaded, _ = run_cli(["search", "--family", "kr", "--r", "3", "--n", "5"], capsys)
-    assert code == 0
-    assert threaded == serial
-
+def test_search_jobs_alone_set_the_workers(capsys, monkeypatch):
+    # the environment holds no override: --jobs decides, and the report
+    # is the same at any worker count (156 graphs make three chunks)
     monkeypatch.setenv("SML_THREADS", "abc")
-    code, out, err = run_cli(["search", "--family", "kr", "--r", "3", "--n", "5"], capsys)
-    assert code == 1 and out == ""
-    assert "SML_THREADS" in err
+    argv = ["search", "--family", "kr", "--r", "4", "--n", "6", "--jobs"]
+    code, serial, err = run_cli(argv + ["1"], capsys)
+    assert code == 0 and err == ""
+    code, parallel, err = run_cli(argv + ["2"], capsys)
+    assert code == 0 and err == ""
+    assert parallel == serial
 
 
 def test_verify_text_equality_structure(capsys):
@@ -326,6 +322,12 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit):
         main(["construct", "--family", "kr", "--r", "5", "--m", "3", "--n", "6"])
     assert "kr family takes only r" in capsys.readouterr().err
+    # a family error prints the subcommand's own usage line
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--family", "kr", "--n", "5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sml construct ") and "--family" in err
 
 
 def test_domain_errors_exit_one(capsys):

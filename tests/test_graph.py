@@ -340,8 +340,11 @@ def test_cdv_construction():
     assert g.edge_count == 1 + 2 * 4 + 3  # K2 join P4
     assert construct_cdv_extremal(5, 2).edge_count == 1 * 4 + 3
     assert construct_cdv_extremal(4, 4) == complete(4)
+    # m = 1: K_0 joined with P_n is P_n
+    for n in range(1, 7):
+        assert construct_cdv_extremal(n, 1) == path(n)
     with pytest.raises(ValueError):
-        construct_cdv_extremal(3, 1)
+        construct_cdv_extremal(3, 0)
     with pytest.raises(ValueError):
         construct_cdv_extremal(2, 3)
 

@@ -2,7 +2,8 @@
 module's dependencies show in its header and no deferred import can hide a
 cycle (minors, for one, must not reach up into cdv); and the package imports
 only the standard library, numpy and itself, so test oracles such as
-networkx never become runtime dependencies."""
+networkx never become runtime dependencies; and no module reads the
+environment."""
 
 import ast
 import sys
@@ -46,3 +47,24 @@ def test_imports_only_stdlib_and_numpy():
         found += [f"{path.name}:{line} imports {root}"
                   for root, line in _imported_roots(tree) if root not in allowed]
     assert not found, "imports outside the standard library and numpy: " + ", ".join(found)
+
+
+def _environment_reads(tree):
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "os" and node.attr in ("environ", "getenv", "putenv")):
+            yield f"os.{node.attr}", node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            for alias in node.names:
+                if alias.name in ("environ", "getenv", "putenv"):
+                    yield f"os.{alias.name}", node.lineno
+
+
+def test_package_reads_no_environment():
+    # every setting is a function argument or a command line option, so the
+    # same call gives the same answer whatever the environment holds
+    found = []
+    for path in sorted(Path(spectralminors.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line} reads {name}" for name, line in _environment_reads(tree)]
+    assert not found, "environment reads: " + ", ".join(found)

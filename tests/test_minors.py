@@ -269,7 +269,7 @@ def test_subdivided_host_contracts_back(h, n):
     # deleting one chain vertex leaves a subdivision of H - e with two
     # pendant paths, which is planar
     cut = delete_vertex(g, h.n)
-    for obstruction in planar_obstructions().members:
+    for obstruction in planar_obstructions():
         start = time.perf_counter()
         assert has_minor(obstruction, cut) is None
         assert time.perf_counter() - start < 2.0
@@ -490,9 +490,7 @@ def test_outerplanar():
     assert is_outerplanar(path(6))
     assert not is_outerplanar(complete(4))
     assert not is_outerplanar(complete_bipartite(2, 3))
-    names = outerplanar_obstructions()
-    assert names.name == "outerplanar"
-    assert len(names.members) == 2
+    assert outerplanar_obstructions() == (complete(4), complete_bipartite(2, 3))
 
 
 def test_planar():
@@ -501,7 +499,7 @@ def test_planar():
     assert not is_planar(complete(5))
     assert not is_planar(complete_bipartite(3, 3))
     assert not is_planar(petersen())
-    assert len(planar_obstructions().members) == 2
+    assert planar_obstructions() == (complete(5), complete_bipartite(3, 3))
 
 
 def test_linkless():
@@ -511,7 +509,7 @@ def test_linkless():
     assert not is_linkless(petersen())
     assert not is_linkless(complete_bipartite(4, 4))
     assert not is_linkless(join(complete(1), complete_bipartite(3, 3)))  # K_{3,3,1}
-    assert len(linkless_obstructions().members) == 7
+    assert len(linkless_obstructions()) == 7
 
 
 def test_class_hierarchy_exhaustive():

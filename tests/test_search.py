@@ -1,6 +1,7 @@
 """Enumeration, family scans, membership reports, and serialization."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import math
@@ -198,6 +199,28 @@ def test_verify_membership_independent_residual():
     assert rep.bound is None
 
 
+def test_verify_membership_reports_are_pinned():
+    # kst reports over the n <= 5 atlas, K1 and K2 joined with each of its
+    # graphs (many universal vertices beyond the s - 1 apex), and the
+    # extremal constructions; lambda is dropped because its last bits
+    # depend on the BLAS build
+    params = ((2, 2), (2, 3), (3, 4))
+    atlas = [g for n in range(6) for g in enumerate_graphs(n)]
+    graphs = atlas + [join(complete(k), g) for k in (1, 2) for g in atlas]
+    graphs += [construct_kst_extremal(n, s, t) for s, t in params for n in range(s, 15)]
+    digest = hashlib.sha256()
+    count = 0
+    for s, t in params:
+        for g in graphs:
+            rep = verify_membership(g, FamilySpec.kst_minor_free(s, t))
+            digest.update(repr(dataclasses.astuple(dataclasses.replace(rep, lam=None))).encode()
+                          + b"\n")
+            count += 1
+    assert count == 591
+    assert digest.hexdigest() == (
+        "9b0d11483717473159a20b045cadfaf0e520cb33532e310860e92965fe44da86")
+
+
 # ---------------------------------------------------------------------------
 # Scans
 
@@ -258,6 +281,14 @@ def test_pool_size_is_capped():
 def test_scan_rejects_empty_family():
     with pytest.raises(ValueError, match="no member"):
         scan_family(FamilySpec.kr_minor_free(3), 3, source=[complete(3)])
+
+
+def test_scan_without_construction_fails_before_scanning(monkeypatch):
+    monkeypatch.setattr(search, "_scan_chunk", lambda *args: pytest.fail("scanned"))
+    with pytest.raises(ValueError, match="need n >= r-1"):
+        scan_family(FamilySpec.kr_minor_free(5), 3)
+    with pytest.raises(ValueError, match="need n >= s"):
+        scan_family(FamilySpec.kst_minor_free(3, 4), 2, jobs=2)
 
 
 def test_search_max_edges_mader_spot():
@@ -347,7 +378,7 @@ def test_family_constructions():
     assert FamilySpec.cdv_at_most(3).construction(6).edge_count == 12
     # the m=1 family peaks at a path
     assert FamilySpec.cdv_at_most(1).construction(5) == path(5)
-    with pytest.raises(ValueError, match="need n >= 1"):
+    with pytest.raises(ValueError, match="need n >= m"):
         FamilySpec.cdv_at_most(1).construction(0)
 
 
