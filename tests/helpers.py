@@ -1,6 +1,7 @@
 """Shared test utilities: two minor oracles independent of the backtracker
 (brute force over set partitions, and a minor-closure table over the atlas),
-a girth computation, and small random-graph builders."""
+a girth computation, a per-edge reference for Graph.relabel, and random-graph
+builders."""
 
 from __future__ import annotations
 
@@ -160,6 +161,18 @@ def random_max_degree_graph(rng: random.Random, n: int, dmax: int) -> Graph:
             deg[u] += 1
             deg[v] += 1
     return Graph.from_edges(n, edges)
+
+
+def random_sparse_graph(rng: random.Random, n: int, m: int) -> Graph:
+    """About m random edges on n vertices, drawn pair by pair, so that large
+    orders cost O(m) rather than O(n^2)."""
+    edges = (rng.sample(range(n), 2) for _ in range(m)) if n >= 2 else ()
+    return Graph.from_edges(n, edges)
+
+
+def relabel_by_edges(g: Graph, perm) -> Graph:
+    """Reference for Graph.relabel: the image of each edge, one at a time."""
+    return Graph.from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges()))
 
 
 def relabeled(rng: random.Random, g: Graph) -> Graph:

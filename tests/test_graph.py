@@ -31,10 +31,17 @@ from spectralminors import (
     petersen,
     recognize_residual,
 )
-from spectralminors.graph import _components
+from spectralminors.graph import (
+    DENSE_MAX,
+    _asymmetry_dense,
+    _asymmetry_walk,
+    _bit_matrix,
+    _components,
+    _matrix_rows,
+)
 from spectralminors.search import enumerate_graphs
 
-from helpers import random_graph
+from helpers import random_graph, random_sparse_graph, relabel_by_edges
 
 
 def edge_set(g):
@@ -64,8 +71,8 @@ def test_constructor_rejects_bad_input():
         Graph.from_edges(3, [(5, 5)])
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 3)])
-    with pytest.raises(ValueError):
-        Graph(2, (2, 0))  # asymmetric adjacency
+    with pytest.raises(ValueError, match=re.escape("asymmetric adjacency at (0, 1)")):
+        Graph(2, (2, 0))
     with pytest.raises(ValueError):
         Graph(2, (1, 2))  # loop bit on vertex 0
     with pytest.raises(ValueError, match=">= n"):
@@ -123,6 +130,83 @@ def test_induced_subgraph_and_relabel():
     assert r.has_edge(4, 3)  # image of edge (0, 1)
     back = r.relabel(perm)
     assert back == g
+    # a repeated label, a short or out-of-range one and an extra one
+    for bad in ([0, 1, 0], [0, 0, 1], [0, 1], [0, 1, 5], [0, 1, 2, 3]):
+        with pytest.raises(ValueError, match=re.escape("permutation of range(3)")):
+            path(3).relabel(bad)
+
+
+# orders around the byte and word boundaries of the packed rows, the sizes of
+# the large constructions, and both sides of the dense bound
+RELABEL_ORDERS = (0, 1, 7, 8, 9, 63, 64, 65, 300, 2005, DENSE_MAX, DENSE_MAX + 1)
+
+
+def _seeded_graph(rng, n):
+    if n <= 300:
+        return random_graph(rng, n, rng.random())
+    return random_sparse_graph(rng, n, 3 * n)
+
+
+def test_relabel_matches_per_edge_reference():
+    rng = random.Random(4096)
+    for n in RELABEL_ORDERS:
+        for _ in range(3 if n <= 300 else 1):
+            g = _seeded_graph(rng, n)
+            perm = rng.sample(range(n), n)
+            r = g.relabel(perm)
+            assert r == relabel_by_edges(g, perm), n
+            inv = [0] * n
+            for v, p in enumerate(perm):
+                inv[p] = v
+            assert r.relabel(inv) == g
+            assert _matrix_rows(_bit_matrix(g.rows, n)) == g.rows
+
+
+def _flip_arcs(rng, rows, k):
+    """rows with k random arcs u -> v toggled in rows[u] alone."""
+    rows = list(rows)
+    for _ in range(k):
+        u, v = rng.sample(range(len(rows)), 2)
+        rows[u] ^= 1 << v
+    return tuple(rows)
+
+
+def test_symmetry_paths_agree():
+    # the walk and the dense check accept the same rows and name the same
+    # first pair; Graph reports that pair on either side of DENSE_MAX
+    rng = random.Random(13)
+    cases = [g.rows for n in range(8) for g in enumerate_graphs(n)]
+    cases += [_flip_arcs(rng, rows, rng.randint(1, 3)) for rows in cases if len(rows) >= 2]
+    for n in (8, 9, 63, 64, 65, 300):
+        g = random_graph(rng, n, rng.random())
+        cases += [g.rows] + [_flip_arcs(rng, g.rows, rng.randint(1, 3)) for _ in range(20)]
+    rejected = 0
+    for rows in cases:
+        want = _asymmetry_walk(rows)
+        assert _asymmetry_dense(rows, len(rows)) == want, rows
+        rejected += want is not None
+    assert min(rejected, len(cases) - rejected) > 1000
+    for n in (DENSE_MAX, DENSE_MAX + 1):
+        rows = path(n).rows
+        assert _asymmetry_dense(rows, n) is None
+        for u, v in ((0, n - 1), (n - 1, 0), (n - 2, n - 1), (1000, 3000)):
+            bad = list(rows)
+            bad[u] ^= 1 << v
+            pair = (u, v) if bad[u] >> v & 1 else (v, u)
+            assert _asymmetry_walk(bad) == _asymmetry_dense(bad, n) == pair
+            with pytest.raises(ValueError, match=re.escape(f"asymmetric adjacency at {pair}")):
+                Graph(n, tuple(bad))
+
+
+def test_large_sparse_graphs_walk_their_bits():
+    # above DENSE_MAX the check and relabel walk the set bits: about 0.5-0.8 s
+    # for both graphs on a 2-core machine, against about 4.6 s and 400 MB
+    # with DENSE_MAX raised past 20000
+    start = time.perf_counter()
+    for g in (path(20000), complete_bipartite(1, 20000)):
+        assert Graph(g.n, g.rows) == g
+        assert g.relabel(range(g.n - 1, -1, -1)).edge_count == g.edge_count
+    assert time.perf_counter() - start < 2.5
 
 
 # ---------------------------------------------------------------------------
