@@ -1,4 +1,4 @@
-"""Canonical forms and automorphisms for small graphs.
+"""Canonical forms for small graphs.
 
 Iterated degree refinement (each round recolors a vertex by its current color
 plus the multiset of neighbor colors) narrows the vertex partition; when cells
@@ -6,14 +6,10 @@ remain, one vertex of the first non-singleton cell is individualized and the
 refinement repeats, branching over every choice. The canonical key is the
 minimum upper-triangle adjacency code over all refinement-discrete orderings,
 which is a complete isomorphism invariant. Each form lists every vertex's
-neighbors once and every refinement round reads those lists.
-
-Refinement from the uniform coloring commutes with relabeling, so every
-automorphism maps each refined cell onto itself; _automorphisms backtracks
-over maps that send each vertex into its own cell and lists the whole group.
-The atlas uses it to skip children that an automorphism of their parent
-shows isomorphic to an earlier child. Intended for the sizes this package
-enumerates (up to a dozen or so vertices), not for large graphs.
+neighbors once and every refinement round reads those lists. Intended for
+the sizes this package enumerates (up to a dozen or so vertices), not for
+large graphs; the n <= 7 atlas ships as data, so enumerating it computes no
+form.
 """
 
 from __future__ import annotations
@@ -113,33 +109,6 @@ def _key(rows) -> tuple[int, int]:
 def canonical_key(g: Graph) -> tuple[int, int]:
     """A value equal for two graphs iff they are isomorphic."""
     return _key(g.rows)
-
-
-def _automorphisms(rows) -> list[tuple[int, ...]]:
-    """Every automorphism of the graph with these adjacency rows, as tuples p
-    with p[v] the image of v, the identity first. Vertex v may only go to a
-    vertex of its refined cell that no earlier vertex took and whose
-    adjacency to the earlier images matches v's to the earlier vertices."""
-    n = len(rows)
-    colors = _refine([tuple(_bits(r)) for r in rows], [0] * n)
-    cell = [sum(1 << u for u in range(n) if colors[u] == c) for c in colors]
-    image = [0] * n
-    found = []
-
-    def extend(v, used):
-        if v == n:
-            found.append(tuple(image))
-            return
-        want = 0
-        for w in _bits(rows[v] & ((1 << v) - 1)):
-            want |= 1 << image[w]
-        for u in _bits(cell[v] & ~used):
-            if rows[u] & used == want:
-                image[v] = u
-                extend(v + 1, used | 1 << u)
-
-    extend(0, 0)
-    return found
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:

@@ -4,14 +4,17 @@ and edge-count maximizers, and compare them against the reference
 construction.
 
 Enumeration is exact up to 7 vertices: one representative per isomorphism
-class, grown by vertex augmentation with canonical-form deduplication, where
-a child that an automorphism of its parent shows isomorphic to an earlier
-child of the same parent is skipped before its form is computed.
-Larger orders come in as graph6 streams. Scans can run on a process pool of
-at most min(jobs, CPU count, chunks) workers; chunking is fixed (64 graphs)
-and one fold combines graphs into chunk tallies and chunk tallies into the
-report, with deterministic tie-breaking (lexicographically least graph6
-string), so output is byte-identical at any parallelism degree.
+class, read on first use from the packaged atlas.g6 (1,253 graph6 lines,
+grouped by order) through the same parser as any graph6 stream, so no
+canonical form is computed at run time. The file was generated once by
+orbit-pruned vertex augmentation; the tests keep that generator and check
+the file against it. Larger orders come in as graph6 streams.
+
+Scans can run on a process pool of at most min(jobs, CPU count, chunks)
+workers; chunking is fixed (64 graphs) and one fold combines graphs into
+chunk tallies and chunk tallies into the report, with deterministic
+tie-breaking (lexicographically least graph6 string), so output is
+byte-identical at any parallelism degree.
 
 family_filter is the membership predicate (for mu <= m, level m's test only);
 clique_completion_safe checks its member hypothesis and its answer through it.
@@ -25,64 +28,44 @@ import json
 import multiprocessing
 import os
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cache, reduce
+from pathlib import Path
 from typing import Iterable, Iterator
 
 from .cdv import mu_at_most
 from .families import FamilySpec
-from .graph import (Graph, ResidualShape, _bits, complete, decompose_apex_clique,
-                    encode_graph6, join, parse_graph6, recognize_residual)
-from .canon import _automorphisms, _key
+from .graph import (Graph, ResidualShape, complete, decompose_apex_clique, encode_graph6,
+                    join, parse_graph6, recognize_residual)
 from .minors import has_minor
 from .spectral import DEFAULT_TOL, kst_lambda_bound, spectral_radius
 
 ENUMERATION_LIMIT = 7
 MATCH_TOL = 1e-9
 _CHUNK = 64
+# One graph6 line per class on 0..ENUMERATION_LIMIT vertices, by order.
+_ATLAS_FILE = Path(__file__).with_name("atlas.g6")
 
 
 # ---------------------------------------------------------------------------
 # Graph sources
 
 
-@lru_cache(maxsize=None)
-def _atlas(n: int) -> tuple[Graph, ...]:
-    """One representative per isomorphism class on exactly n vertices, built
-    by adding a vertex with every possible neighborhood mask to every class
-    on n - 1 vertices; the first child found in a class represents it.
-
-    A mask that an automorphism of the parent maps to a smaller mask is
-    skipped: its child is isomorphic to an earlier child of the same parent.
-    Following such maps down from any mask ends at a mask no listed
-    automorphism lowers, so the pruning stays exact with any subset of
-    Aut(parent), and the full group prunes the most. The first child of each
-    class is never skipped, so the representatives and their order are those
-    of the unpruned build."""
-    if n == 0:
-        return (Graph.empty(0),)
-    reps: dict[tuple[int, int], Graph] = {}
-    top = 1 << (n - 1)
-    for g in _atlas(n - 1):
-        auts = _automorphisms(g.rows)[1:]
-        base = list(g.rows) + [0]
-        for mask in range(top):
-            if any(sum(1 << p[v] for v in _bits(mask)) < mask for p in auts):
-                continue
-            rows = list(base)
-            rows[n - 1] = mask
-            for v in _bits(mask):
-                rows[v] |= top
-            key = _key(rows)
-            if key not in reps:
-                reps[key] = Graph(n, tuple(rows))
-    return tuple(reps.values())
+@cache
+def _atlas() -> tuple[tuple[Graph, ...], ...]:
+    """The isomorphism classes on 0..ENUMERATION_LIMIT vertices, read once
+    from the packaged atlas.g6 and grouped by order: entry n lists the
+    representatives on n vertices in file order."""
+    levels = [[] for _ in range(ENUMERATION_LIMIT + 1)]
+    for g in ingest_graph6_stream(_ATLAS_FILE):
+        levels[g.n].append(g)
+    return tuple(map(tuple, levels))
 
 
 def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
     """All graphs on n vertices up to isomorphism, n <= 7."""
     if not 0 <= n <= ENUMERATION_LIMIT:
         raise ValueError(f"internal enumeration covers 0 <= n <= {ENUMERATION_LIMIT}")
-    for g in _atlas(n):
+    for g in _atlas()[n]:
         if connected_only and not g.is_connected():
             continue
         yield g

@@ -1,7 +1,8 @@
-"""Shared test utilities: two minor oracles independent of the backtracker
-(brute force over set partitions, and a minor-closure table over the atlas),
-a girth computation, a per-edge reference for Graph.relabel, and random-graph
-builders."""
+"""Shared test utilities: the generator of the packaged n <= 7 atlas and
+the automorphism lister it prunes with, two minor oracles independent of the
+backtracker (brute force over set partitions, and a minor-closure table over
+the atlas), a girth computation, a per-edge reference for Graph.relabel, and
+random-graph builders."""
 
 from __future__ import annotations
 
@@ -17,6 +18,73 @@ from spectralminors import (
     delete_vertex,
     enumerate_graphs,
 )
+from spectralminors.canon import _key, _refine
+from spectralminors.graph import _bits
+
+
+def automorphisms(rows) -> list[tuple[int, ...]]:
+    """Every automorphism of the graph with these adjacency rows, as tuples p
+    with p[v] the image of v, the identity first. Refinement from the uniform
+    coloring commutes with relabeling, so every automorphism maps each
+    refined cell onto itself. Vertex v may only go to a vertex of its refined
+    cell that no earlier vertex took and whose adjacency to the earlier
+    images matches v's to the earlier vertices."""
+    n = len(rows)
+    colors = _refine([tuple(_bits(r)) for r in rows], [0] * n)
+    cell = [sum(1 << u for u in range(n) if colors[u] == c) for c in colors]
+    image = [0] * n
+    found = []
+
+    def extend(v, used):
+        if v == n:
+            found.append(tuple(image))
+            return
+        want = 0
+        for w in _bits(rows[v] & ((1 << v) - 1)):
+            want |= 1 << image[w]
+        for u in _bits(cell[v] & ~used):
+            if rows[u] & used == want:
+                image[v] = u
+                extend(v + 1, used | 1 << u)
+
+    extend(0, 0)
+    return found
+
+
+@cache
+def reference_atlas(n: int) -> tuple[Graph, ...]:
+    """One representative per isomorphism class on exactly n vertices, built
+    by adding a vertex with every possible neighborhood mask to every class
+    on n - 1 vertices; the first child found in a class represents it. This
+    generated the packaged atlas.g6 (n <= 7, one graph6 line per graph, by
+    order).
+
+    A mask that an automorphism of the parent maps to a smaller mask is
+    skipped: its child is isomorphic to an earlier child of the same parent
+    (the pruning half of McKay's isomorph-free generation, J. Algorithms
+    1998). Following such maps down from any mask ends at a mask no listed
+    automorphism lowers, so the pruning stays exact with any subset of
+    Aut(parent), and the full group prunes the most. The first child of each
+    class is never skipped, so the representatives and their order are those
+    of the unpruned build."""
+    if n == 0:
+        return (Graph.empty(0),)
+    reps: dict[tuple[int, int], Graph] = {}
+    top = 1 << (n - 1)
+    for g in reference_atlas(n - 1):
+        auts = automorphisms(g.rows)[1:]
+        base = list(g.rows) + [0]
+        for mask in range(top):
+            if any(sum(1 << p[v] for v in _bits(mask)) < mask for p in auts):
+                continue
+            rows = list(base)
+            rows[n - 1] = mask
+            for v in _bits(mask):
+                rows[v] |= top
+            key = _key(rows)
+            if key not in reps:
+                reps[key] = Graph(n, tuple(rows))
+    return tuple(reps.values())
 
 
 def set_partitions_exact(items: list, k: int):

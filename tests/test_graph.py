@@ -268,6 +268,16 @@ def test_graph6_roundtrip_random():
         assert parse_graph6(encode_graph6(g)) == g
 
 
+def test_graph6_roundtrip_near_dense_max():
+    # parse_graph6 mirrors its triangle one 256 x 256 tile at a time; these
+    # orders end on a partial tile, a whole one, and one past DENSE_MAX
+    rng = random.Random(4097)
+    for n in (4000, 4095, 4096, 4097):
+        edges = [(0, n - 1), (n - 2, n - 1), *(rng.sample(range(n), 2) for _ in range(3 * n))]
+        g = Graph.from_edges(n, edges)
+        assert parse_graph6(encode_graph6(g)) == g
+
+
 def test_graph6_matches_networkx():
     nx = pytest.importorskip("networkx")
     rng = random.Random(77)

@@ -1,4 +1,5 @@
-"""Enumeration, family scans, membership reports, and serialization."""
+"""Enumeration (the packaged atlas against its reference generator),
+family scans, membership reports, and serialization."""
 
 import csv
 import dataclasses
@@ -7,6 +8,9 @@ import io
 import math
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,16 +34,18 @@ from spectralminors import (
     kst_lambda_bound,
     parse_graph6,
     path,
+    petersen,
     report_to_json,
     reports_to_csv,
     scan_family,
     spectral_radius,
     verify_membership,
 )
-from spectralminors import search
+from spectralminors import canon, search
 from spectralminors.search import _pool_size
 
-from helpers import random_graph
+import helpers
+from helpers import automorphisms, random_graph, reference_atlas
 
 
 # ---------------------------------------------------------------------------
@@ -75,30 +81,80 @@ def test_enumeration_representatives_are_pinned():
         "434bc757ac10473178bb7ca3f96f58aac2d25897662c3b47ad070505a6808c87")
 
 
+def test_atlas_file_matches_reference():
+    # atlas.g6 is the reference generator's n <= 7 output, one line per graph
+    text = "".join(encode_graph6(g) + "\n" for n in range(8) for g in reference_atlas(n))
+    assert search._ATLAS_FILE.read_bytes() == text.encode("ascii")
+
+
+def test_atlas_file_ships_with_the_package():
+    assert search._ATLAS_FILE == Path(search.__file__).with_name("atlas.g6")
+    assert search._ATLAS_FILE.is_file()
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    assert "atlas.g6" in pyproject["tool"]["setuptools"]["package-data"]["spectralminors"]
+
+
+def test_atlas_load_is_lazy_and_computes_no_form(monkeypatch):
+    # importing reads no atlas (some callers never enumerate), and loading
+    # it only parses the file
+    probe = ("import sys, spectralminors\n"
+             "sys.exit(spectralminors.search._atlas.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": str(Path(search.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=60).returncode == 0
+
+    def no_form(*args):
+        raise AssertionError("canonical form computed")
+
+    monkeypatch.setattr(canon, "_key", no_form)
+    monkeypatch.setattr(canon, "canonical_key", no_form)
+    search._atlas.cache_clear()
+    try:
+        assert sum(1 for _ in enumerate_graphs(7)) == 1044
+    finally:
+        search._atlas.cache_clear()
+
+
 def test_atlas_orbit_pruning(monkeypatch):
     # a cold n <= 7 build computes 5,759 canonical forms, 11,291 without the
     # pruning; for n <= 6, 663 and 1,307. With only part of each parent's
     # group it prunes less and still builds the same atlas
-    full = [search._atlas(n) for n in range(8)]
-    key, auts = search._key, search._automorphisms
+    full = [reference_atlas(n) for n in range(8)]
+    key, auts = helpers._key, helpers.automorphisms
     forms = []
 
     def counted_key(rows):
         forms.append(rows)
         return key(rows)
 
-    monkeypatch.setattr(search, "_key", counted_key)
+    monkeypatch.setattr(helpers, "_key", counted_key)
     try:
-        search._atlas.cache_clear()
-        assert [search._atlas(n) for n in range(8)] == full
+        reference_atlas.cache_clear()
+        assert [reference_atlas(n) for n in range(8)] == full
         assert len(forms) == 5759
-        monkeypatch.setattr(search, "_automorphisms", lambda rows: auts(rows)[::2])
-        search._atlas.cache_clear()
+        monkeypatch.setattr(helpers, "automorphisms", lambda rows: auts(rows)[::2])
+        reference_atlas.cache_clear()
         forms.clear()
-        assert [search._atlas(n) for n in range(7)] == full[:7]
+        assert [reference_atlas(n) for n in range(7)] == full[:7]
         assert 663 < len(forms) < 1307
     finally:
-        search._atlas.cache_clear()
+        reference_atlas.cache_clear()
+
+
+def test_automorphisms_match_networkx():
+    nx = pytest.importorskip("networkx")
+    for n in range(7):
+        for g in enumerate_graphs(n):
+            G = nx.Graph()
+            G.add_nodes_from(range(n))
+            G.add_edges_from(g.edges())
+            expected = {tuple(m[v] for v in range(n))
+                        for m in nx.isomorphism.GraphMatcher(G, G).isomorphisms_iter()}
+            found = automorphisms(g.rows)
+            assert found[0] == tuple(range(n))
+            assert len(found) == len(set(found))
+            assert set(found) == expected
+    assert len(automorphisms(petersen().rows)) == 120
 
 
 def test_canonical_keys_are_pinned():
