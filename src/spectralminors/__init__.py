@@ -83,6 +83,7 @@ from .spectral import (
     quotient_bound,
     rayleigh_delta,
     spectral_radius,
+    two_walk_bound,
 )
 
 __version__ = "0.1.0"

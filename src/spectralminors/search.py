@@ -16,6 +16,23 @@ chunk tallies and chunk tallies into the report, with deterministic
 tie-breaking (lexicographically least graph6 string), so output is
 byte-identical at any parallelism degree.
 
+A chunk solves only the members that can still matter. Every member counts
+and its edge count is read without solving; graph6 is encoded only for
+members with the chunk's largest edge count. For the spectral maximum the
+members are visited in descending order of the integer 2-walk bound w
+(spectral.two_walk_bound, lambda^2 <= w), and spectral_radius runs on a
+member only while sqrt(w) * (1 + 1e-9) is at least the chunk's best computed
+lambda so far, or (kst) exceeds bound + MATCH_TOL; the visit stops at the
+first member that meets neither, since no later one has a larger w.
+graph6 is encoded only for a computed lambda that reaches the best. This is
+exact: a computed lambda is the Rayleigh quotient of a nonnegative float
+vector and exceeds the true radius by a relative 2e-10 at most, so a skipped
+member's computed lambda lies strictly below the best (it could neither win
+nor tie) and no more than bound + MATCH_TOL (no violation). Each chunk tally
+thus equals the tally of solving every member, _fold does not depend on
+order, and the maximizer's lambda comes from the same spectral_radius call,
+so reports are unchanged to the last bit.
+
 family_filter is the membership predicate (for mu <= m, level m's test only);
 clique_completion_safe checks its member hypothesis and its answer through it.
 """
@@ -25,6 +42,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import multiprocessing
 import os
 from dataclasses import dataclass
@@ -37,11 +55,14 @@ from .families import FamilySpec
 from .graph import (Graph, ResidualShape, complete, decompose_apex_clique, encode_graph6,
                     join, parse_graph6, recognize_residual)
 from .minors import has_minor
-from .spectral import DEFAULT_TOL, kst_lambda_bound, spectral_radius
+from .spectral import DEFAULT_TOL, kst_lambda_bound, spectral_radius, two_walk_bound
 
 ENUMERATION_LIMIT = 7
 MATCH_TOL = 1e-9
 _CHUNK = 64
+# Relative margin on sqrt(w) before a member is skipped: well above the 2e-10
+# by which rounding can lift a computed spectral radius over the true one.
+_ROUNDING_SLACK = 1e-9
 # One graph6 line per class on 0..ENUMERATION_LIMIT vertices, by order.
 _ATLAS_FILE = Path(__file__).with_name("atlas.g6")
 
@@ -229,14 +250,24 @@ def _fold(acc, part):
 
 
 def _scan_chunk(family: FamilySpec, chunk: list[Graph], bound: float | None, tol: float):
-    acc = (len(chunk), 0, None, None, None, None, 0)
-    for g in chunk:
-        if not family_filter(family, g):
-            continue
+    """The tally of one chunk, equal to folding every member's own tally in,
+    with spectral_radius and encode_graph6 run only where the result can
+    matter (see the module docstring)."""
+    members = [g for g in chunk if family_filter(family, g)]
+    acc = (len(chunk), len(members), None, None, None, None, 0)
+    top_edges = max((g.edge_count for g in members), default=None)
+    for g in members:
+        if g.edge_count == top_edges:
+            acc = _fold(acc, (0, 0, None, None, top_edges, encode_graph6(g), 0))
+    ceiling = math.inf if bound is None else bound + MATCH_TOL
+    for g in sorted(members, key=two_walk_bound, reverse=True):
+        best = acc[2]
+        reach = math.sqrt(two_walk_bound(g)) * (1 + _ROUNDING_SLACK)
+        if best is not None and reach < best and reach <= ceiling:
+            break
         lam = spectral_radius(g, tol).lam
-        g6 = encode_graph6(g)
-        violation = int(bound is not None and lam > bound + MATCH_TOL)
-        acc = _fold(acc, (0, 1, lam, g6, g.edge_count, g6, violation))
+        part = (lam, encode_graph6(g)) if best is None or lam >= best else (None, None)
+        acc = _fold(acc, (0, 0, *part, None, None, int(lam > ceiling)))
     return acc
 
 

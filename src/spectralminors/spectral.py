@@ -1,5 +1,6 @@
 """Spectral radius and Perron vector by shifted power iteration, plus the
-closed-form eigenvalue bounds used to compare against extremal constructions.
+closed-form eigenvalue bounds used to compare against extremal constructions
+and an integer 2-walk bound that lets scans skip solves.
 
 Each connected component is solved on its own. Its adjacency is built once
 from the bit rows as sparse index arrays (neighbour lists in row order), and
@@ -111,7 +112,11 @@ def _component_power(src: np.ndarray, dst: np.ndarray, k: int,
 
 
 def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> EigenResult:
-    """Largest adjacency eigenvalue of g with its nonnegative eigenvector."""
+    """Largest adjacency eigenvalue of g with its nonnegative eigenvector.
+
+    lam is the Rayleigh quotient of a nonnegative float vector, every sum in
+    it a sum of nonnegative terms, so rounding can raise it above the true
+    radius by a relative 3 n eps at most (under 2e-10 for n <= MAX_VERTICES)."""
     if g.n < 1:
         raise ValueError("spectral radius needs at least one vertex")
     if not tol >= TOL_FLOOR:
@@ -135,6 +140,22 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> EigenResult:
         vector[v] = float(val)
     max_vertex = vector.index(1.0)
     return EigenResult(lam, tuple(vector), resid, it, max_vertex)
+
+
+def two_walk_bound(g: Graph) -> int:
+    """w(g) = max_v sum_{u ~ v} d(u), the largest number of 2-walks from one
+    vertex and the largest row sum of A^2; 0 when g has no edge. The largest
+    row sum of a nonnegative matrix bounds its spectral radius, so
+    lambda(g)^2 = lambda(A^2) <= w(g).
+
+    Computed from degree bit-planes: P_j holds the vertices whose degree has
+    bit j set, and the row sum at v is sum_j |rows[v] & P_j| << j, so no step
+    walks the edges one by one."""
+    degs = g.degrees()
+    planes = [sum(1 << v for v, d in enumerate(degs) if d >> j & 1)
+              for j in range(max(degs, default=0).bit_length())]
+    return max((sum((row & p).bit_count() << j for j, p in enumerate(planes))
+                for row in g.rows), default=0)
 
 
 def rayleigh_delta(g: Graph, x, edges_removed, edges_added) -> float:

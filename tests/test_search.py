@@ -28,6 +28,7 @@ from spectralminors import (
     encode_graph6,
     enumerate_graphs,
     family_filter,
+    has_minor,
     independent,
     ingest_graph6_stream,
     join,
@@ -42,10 +43,10 @@ from spectralminors import (
     verify_membership,
 )
 from spectralminors import canon, search
-from spectralminors.search import _pool_size
+from spectralminors.search import MATCH_TOL, _pool_size
 
 import helpers
-from helpers import automorphisms, random_graph, reference_atlas
+from helpers import automorphisms, random_graph, reference_atlas, relabeled
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +353,109 @@ def test_search_max_edges_mader_spot():
     report = scan_family(FamilySpec.kr_minor_free(4), 6)
     assert report.max_edges == 2 * 4 + 1
     assert report.construction_edges == report.max_edges
+
+
+# ---------------------------------------------------------------------------
+# Pruned chunks: spectral_radius and encode_graph6 only where they can matter
+
+TWELVE_FAMILIES = ([FamilySpec.kr_minor_free(r) for r in range(3, 7)]
+                   + [FamilySpec.kst_minor_free(s, t) for s, t in ((2, 2), (2, 3), (2, 4), (3, 3))]
+                   + [FamilySpec.cdv_at_most(m) for m in range(1, 5)])
+
+
+def solve_every_member(family, chunk, bound):
+    """Reference chunk tally: every member solved and encoded, then folded
+    in one by one."""
+    acc = (len(chunk), 0, None, None, None, None, 0)
+    for g in chunk:
+        if search.family_filter(family, g):
+            lam = search.spectral_radius(g, 1e-12).lam
+            g6 = encode_graph6(g)
+            violation = int(bound is not None and lam > bound + MATCH_TOL)
+            acc = search._fold(acc, (0, 1, lam, g6, g.edge_count, g6, violation))
+    return acc
+
+
+def test_scan_chunk_matches_solving_every_member(monkeypatch):
+    # every 64-graph chunk of the n = 6 and 7 atlas, for the twelve families,
+    # with each scan's own bound and with hand-set ones: 2.0 is lambda of
+    # K_{1,4} and of every cycle, and 2.5 and 3.0 give positive violation
+    # counts, which no kst scan over the atlas has. Memberships and solves
+    # are remembered per graph, so each is computed once.
+    real_filter, real_solve = search.family_filter, search.spectral_radius
+    members, solved = {}, {}
+
+    def remembered_filter(family, g):
+        if (family, id(g)) not in members:
+            members[family, id(g)] = real_filter(family, g)
+        return members[family, id(g)]
+
+    def remembered_solve(g, tol):
+        if id(g) not in solved:
+            solved[id(g)] = real_solve(g, tol)
+        return solved[id(g)]
+
+    monkeypatch.setattr(search, "family_filter", remembered_filter)
+    monkeypatch.setattr(search, "spectral_radius", remembered_solve)
+    violations = {}
+    for family in TWELVE_FAMILIES:
+        for n in (6, 7):
+            atlas = list(enumerate_graphs(n))
+            own = kst_lambda_bound(n, family.s, family.t) if family.kind == "kst" else None
+            for start in range(0, len(atlas), 64):
+                chunk = atlas[start:start + 64]
+                for bound in (own, 2.0, 2.5, 3.0):
+                    got = search._scan_chunk(family, chunk, bound, 1e-12)
+                    assert got == solve_every_member(family, chunk, bound), (
+                        family, n, start, bound)
+                    violations[bound] = violations.get(bound, 0) + got[6]
+    assert violations[None] == 0
+    assert violations[2.0] > violations[2.5] > violations[3.0] > 0
+
+
+def test_scan_ties_go_to_the_least_graph6_under_pruning(tmp_path):
+    # On 7 vertices with no degree above 2, lambda is exactly 2.0 when a
+    # cycle is present (a 2-regular component stops at iteration 1 from the
+    # all-ones vector) and below 2 otherwise. The source repeats each cycle
+    # class under relabellings across three chunks, next to forests that
+    # the 2-walk bound prunes and to non-members with lambda above 2.
+    def tied(g):
+        return g.max_degree() <= 2 and g.edge_count > g.n - len(g.components())
+
+    rng = random.Random(2024)
+    low = [g for g in enumerate_graphs(7) if g.max_degree() <= 2]
+    assert sum(map(tied, low)) >= 5
+    outside = [g for g in enumerate_graphs(7)
+               if has_minor(complete(4), g) is not None][:12]
+    graphs = low + outside + [relabeled(rng, g) for g in low if tied(g) for _ in range(8)]
+    rng.shuffle(graphs)
+    tied_at = [i for i, g in enumerate(graphs) if tied(g)]
+    least = min(encode_graph6(graphs[i]) for i in tied_at)
+    first_least = next(i for i in tied_at if encode_graph6(graphs[i]) == least)
+    assert len({i // 64 for i in tied_at}) == 3 and first_least >= 64
+    assert sum(encode_graph6(graphs[i]) != least for i in tied_at) > 10
+    src = tmp_path / "ties.g6"
+    src.write_text("".join(encode_graph6(g) + "\n" for g in graphs))
+    for jobs in (1, 2):
+        report = scan_family(FamilySpec.kr_minor_free(4), 7, source=str(src), jobs=jobs)
+        assert report.max_lambda == 2.0
+        assert report.argmax_g6 == least
+        assert report.graphs_scanned == len(graphs)
+
+
+def test_scan_solves_a_fraction_of_the_members(monkeypatch):
+    # the K5-minor-free scan at n = 7 has 869 members; the 2-walk bound
+    # leaves about a hundred to solve (the construction adds one call)
+    calls = []
+    real = search.spectral_radius
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(search, "spectral_radius", counted)
+    scan_family(FamilySpec.kr_minor_free(5), 7)
+    assert len(calls) < 869 / 4
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,14 @@ from spectralminors import (
     check_interlacing_bound,
     complete,
     complete_bipartite,
+    construct_cdv_extremal,
     construct_kr_extremal,
+    construct_kst_extremal,
     cycle,
     delete_edge,
     disjoint_union,
+    encode_graph6,
+    enumerate_graphs,
     independent,
     join,
     kst_lambda_bound,
@@ -25,6 +29,7 @@ from spectralminors import (
     quotient_bound,
     rayleigh_delta,
     spectral_radius,
+    two_walk_bound,
 )
 from spectralminors import spectral
 from spectralminors.graph import Graph
@@ -220,6 +225,64 @@ def test_convergence_error_names_the_component(monkeypatch):
     with pytest.raises(ConvergenceError, match=r"50-vertex component.*last lambda .*"
                        r"residual .* > tol\*max\(1, lambda\)"):
         spectral_radius(disjoint_union(complete(3), path(50)))
+
+
+# ---------------------------------------------------------------------------
+# two_walk_bound
+
+
+def per_edge_two_walks(g):
+    """Reference for two_walk_bound: each row of A^2 summed edge by edge."""
+    degs = g.degrees()
+    return max((sum(degs[u] for u in g.neighbors(v)) for v in range(g.n)), default=0)
+
+
+def test_two_walk_bound_on_the_atlas():
+    # lambda^2 <= w on every graph with n <= 7, against eigvalsh, with
+    # equality on the regular graphs
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            w = two_walk_bound(g)
+            assert w == per_edge_two_walks(g), encode_graph6(g)
+            adj = np.zeros((g.n, g.n))
+            for u, v in g.edges():
+                adj[u, v] = adj[v, u] = 1.0
+            top = float(np.linalg.eigvalsh(adj)[-1]) if g.n else 0.0
+            assert top * top <= w + 1e-9, encode_graph6(g)
+            if len(set(g.degrees())) == 1:
+                assert top * top == pytest.approx(w, abs=1e-9)
+
+
+def test_two_walk_bound_unions_and_isolated_vertices():
+    assert two_walk_bound(independent(0)) == 0
+    assert two_walk_bound(independent(5)) == 0
+    assert two_walk_bound(complete(1)) == 0
+    # a union takes the largest of its parts; isolated vertices add nothing
+    rng = random.Random(31)
+    for _ in range(30):
+        parts = [random_graph(rng, rng.randint(1, 12), rng.random())
+                 for _ in range(rng.randint(1, 4))]
+        g = disjoint_union(*parts, independent(rng.randint(0, 3)))
+        w = two_walk_bound(g)
+        assert w == per_edge_two_walks(g) == max(map(two_walk_bound, parts))
+        assert spectral_radius(g).lam ** 2 <= w + 1e-9
+    # a star: the centre's 2-walks return through each leaf, a leaf's go out
+    # along the centre's k edges
+    assert two_walk_bound(join(complete(1), independent(9))) == 9
+
+
+@pytest.mark.parametrize("build, args", [
+    (construct_kr_extremal, (1800, 32)),
+    (construct_kst_extremal, (2005, 6, 10)),
+    (construct_kst_extremal, (500, 3, 7)),
+    (construct_cdv_extremal, (1200, 4)),
+    (construct_cdv_extremal, (400, 3)),
+])
+def test_two_walk_bound_on_large_joins(build, args):
+    g = build(*args)
+    w = two_walk_bound(g)
+    assert w == per_edge_two_walks(g)
+    assert spectral_radius(g).lam ** 2 <= w
 
 
 # ---------------------------------------------------------------------------
