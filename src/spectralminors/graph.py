@@ -78,6 +78,11 @@ def _components(rows, mask: int) -> list[int]:
     return comps
 
 
+def _mask_edges(rows, act: int) -> int:
+    """Number of edges of the subgraph induced on the vertex set act."""
+    return sum((rows[v] & act).bit_count() for v in _bits(act)) // 2
+
+
 def _asymmetry_walk(rows) -> tuple[int, int] | None:
     """First (u, v) in row-major order with v in rows[u] but u not in rows[v],
     found by walking every set bit."""

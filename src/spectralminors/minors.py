@@ -70,7 +70,8 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 
 from .canon import canonical_key
-from .graph import Graph, _bits, _components, complete, complete_bipartite, delete_vertex
+from .graph import (Graph, _bits, _components, _mask_edges, complete, complete_bipartite,
+                    delete_vertex)
 from .planarity import _is_plane_rotation, _lr_rotation
 
 
@@ -116,10 +117,6 @@ def verify_witness(h: Graph, g: Graph, w: MinorWitness) -> bool:
 
 # ---------------------------------------------------------------------------
 # The search
-
-
-def _mask_edges(rows, act: int) -> int:
-    return sum((rows[v] & act).bit_count() for v in _bits(act)) // 2
 
 
 def _twin_cap(g_rows, g_act: int, cap: int) -> int:

@@ -22,7 +22,7 @@ Both work on bitmask rows restricted to an active vertex set, as minors does.
 
 from __future__ import annotations
 
-from .graph import _bits, _components
+from .graph import _bits, _components, _mask_edges
 
 
 def _lr_rotation(rows, act: int) -> dict[int, list[int]] | None:
@@ -30,7 +30,7 @@ def _lr_rotation(rows, act: int) -> dict[int, list[int]] | None:
     neighbours in cyclic order, or None if the left-right test finds the
     graph nonplanar."""
     nv = act.bit_count()
-    if nv >= 3 and sum((rows[v] & act).bit_count() for v in _bits(act)) > 2 * (3 * nv - 6):
+    if nv >= 3 and _mask_edges(rows, act) > 3 * nv - 6:
         return None
     size = len(rows)
     height = [-1] * size

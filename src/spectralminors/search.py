@@ -10,28 +10,23 @@ canonical form is computed at run time. The file was generated once by
 orbit-pruned vertex augmentation; the tests keep that generator and check
 the file against it. Larger orders come in as graph6 streams.
 
-Scans can run on a process pool of at most min(jobs, CPU count, chunks)
-workers; chunking is fixed (64 graphs) and one fold combines graphs into
-chunk tallies and chunk tallies into the report, with deterministic
-tie-breaking (lexicographically least graph6 string), so output is
-byte-identical at any parallelism degree.
-
-A chunk solves only the members that can still matter. Every member counts
-and its edge count is read without solving; graph6 is encoded only for
-members with the chunk's largest edge count. For the spectral maximum the
-members are visited in descending order of the integer 2-walk bound w
-(spectral.two_walk_bound, lambda^2 <= w), and spectral_radius runs on a
-member only while sqrt(w) * (1 + 1e-9) is at least the chunk's best computed
-lambda so far, or (kst) exceeds bound + MATCH_TOL; the visit stops at the
-first member that meets neither, since no later one has a larger w.
-graph6 is encoded only for a computed lambda that reaches the best. This is
-exact: a computed lambda is the Rayleigh quotient of a nonnegative float
-vector and exceeds the true radius by a relative 2e-10 at most, so a skipped
-member's computed lambda lies strictly below the best (it could neither win
-nor tie) and no more than bound + MATCH_TOL (no violation). Each chunk tally
-thus equals the tally of solving every member, _fold does not depend on
-order, and the maximizer's lambda comes from the same spectral_radius call,
-so reports are unchanged to the last bit.
+A scan runs in one pass. Membership, the costly part, is tested in 64-graph
+chunks, on a process pool of at most min(jobs, CPU count, chunks) workers
+or serially; each chunk returns its membership flags only. The rest runs in
+the calling process over all members at once. The edge maximum needs no
+solve. For the spectral maximum the members are visited once, in descending
+order of the integer 2-walk bound w (spectral.two_walk_bound,
+lambda^2 <= w), and spectral_radius runs on a member only while
+sqrt(w) * (1 + 1e-9) is at least the best lambda computed so far, or (kst)
+exceeds bound + MATCH_TOL; the visit stops at the first member that meets
+neither, since no later one has a larger w. This is exact: a computed
+lambda is the Rayleigh quotient of a nonnegative float vector and exceeds
+the true radius by a relative 2e-10 at most, so a skipped member's computed
+lambda lies strictly below the best (it could neither win nor tie) and no
+more than bound + MATCH_TOL (no violation). The report is thus the one
+solving every member would give, to the last bit, at any number of jobs:
+the maximizer's lambda comes from the same spectral_radius call, and ties
+go to the lexicographically least graph6 string (_least_graph6).
 
 family_filter is the membership predicate (for mu <= m, level m's test only);
 clique_completion_safe checks its member hypothesis and its answer through it.
@@ -46,7 +41,9 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
+from itertools import chain, compress
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -82,14 +79,11 @@ def _atlas() -> tuple[tuple[Graph, ...], ...]:
     return tuple(map(tuple, levels))
 
 
-def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
+def enumerate_graphs(n: int) -> Iterator[Graph]:
     """All graphs on n vertices up to isomorphism, n <= 7."""
     if not 0 <= n <= ENUMERATION_LIMIT:
         raise ValueError(f"internal enumeration covers 0 <= n <= {ENUMERATION_LIMIT}")
-    for g in _atlas()[n]:
-        if connected_only and not g.is_connected():
-            continue
-        yield g
+    yield from _atlas()[n]
 
 
 def ingest_graph6_stream(path) -> Iterator[Graph]:
@@ -232,43 +226,14 @@ class SearchReport:
     graphs_scanned: int
 
 
-# A scan tally: (graphs scanned, members, max lambda, its graph6, max edges,
-# its graph6, bound violations); None marks a maximum with no member yet.
-_EMPTY = (0, 0, None, None, None, None, 0)
+def _members(family: FamilySpec, chunk: list[Graph]) -> list[bool]:
+    """Membership flags of one chunk, the unit of work a scan shares out."""
+    return [family_filter(family, g) for g in chunk]
 
 
-def _fold(acc, part):
-    """Combine two tallies: counts add, and each maximum keeps the larger
-    value, ties going to the least graph6 string."""
-    cnt, mem, lam, lam_g6, e, e_g6, vio = acc
-    p_cnt, p_mem, p_lam, p_lam_g6, p_e, p_e_g6, p_vio = part
-    if p_lam is not None and (lam is None or p_lam > lam or (p_lam == lam and p_lam_g6 < lam_g6)):
-        lam, lam_g6 = p_lam, p_lam_g6
-    if p_e is not None and (e is None or p_e > e or (p_e == e and p_e_g6 < e_g6)):
-        e, e_g6 = p_e, p_e_g6
-    return cnt + p_cnt, mem + p_mem, lam, lam_g6, e, e_g6, vio + p_vio
-
-
-def _scan_chunk(family: FamilySpec, chunk: list[Graph], bound: float | None, tol: float):
-    """The tally of one chunk, equal to folding every member's own tally in,
-    with spectral_radius and encode_graph6 run only where the result can
-    matter (see the module docstring)."""
-    members = [g for g in chunk if family_filter(family, g)]
-    acc = (len(chunk), len(members), None, None, None, None, 0)
-    top_edges = max((g.edge_count for g in members), default=None)
-    for g in members:
-        if g.edge_count == top_edges:
-            acc = _fold(acc, (0, 0, None, None, top_edges, encode_graph6(g), 0))
-    ceiling = math.inf if bound is None else bound + MATCH_TOL
-    for g in sorted(members, key=two_walk_bound, reverse=True):
-        best = acc[2]
-        reach = math.sqrt(two_walk_bound(g)) * (1 + _ROUNDING_SLACK)
-        if best is not None and reach < best and reach <= ceiling:
-            break
-        lam = spectral_radius(g, tol).lam
-        part = (lam, encode_graph6(g)) if best is None or lam >= best else (None, None)
-        acc = _fold(acc, (0, 0, *part, None, None, int(lam > ceiling)))
-    return acc
+def _least_graph6(graphs: Iterable[Graph]) -> str:
+    """The tie-break between maximizers: the lexicographically least graph6."""
+    return min(map(encode_graph6, graphs))
 
 
 def _pool_size(jobs: int, chunks: int) -> int:
@@ -304,32 +269,45 @@ def scan_family(
     # an order with no construction (every one needs n >= 1) fails here,
     # before any graph is scanned
     cons = family.construction(n)
-    bound = kst_lambda_bound(n, family.s, family.t) if family.kind == "kst" else None
-    chunks = [graphs[i:i + _CHUNK] for i in range(0, len(graphs), _CHUNK)] or [[]]
+    chunks = [graphs[i:i + _CHUNK] for i in range(0, len(graphs), _CHUNK)]
     workers = _pool_size(jobs, len(chunks))
     if workers > 1:
         with multiprocessing.Pool(processes=workers) as pool:
-            parts = pool.starmap(
-                _scan_chunk, [(family, c, bound, tol) for c in chunks])
+            flags = pool.starmap(_members, [(family, c) for c in chunks])
     else:
-        parts = [_scan_chunk(family, c, bound, tol) for c in chunks]
-    scanned, _, best_lam, best_lam_g6, best_e, best_e_g6, violations = reduce(_fold, parts, _EMPTY)
-    if best_lam is None:
-        raise ValueError(f"no member of {family.label()} among the {scanned} graphs scanned")
+        flags = [_members(family, c) for c in chunks]
+    members = list(compress(graphs, chain.from_iterable(flags)))
+    if not members:
+        raise ValueError(f"no member of {family.label()} among the {len(graphs)} graphs scanned")
+    best_e = max(g.edge_count for g in members)
+    ceiling = (kst_lambda_bound(n, family.s, family.t) + MATCH_TOL
+               if family.kind == "kst" else math.inf)
+    best_lam, tied, violations = -math.inf, [], 0
+    for w, g in sorted(zip(map(two_walk_bound, members), members),
+                       key=itemgetter(0), reverse=True):
+        reach = math.sqrt(w) * (1 + _ROUNDING_SLACK)
+        if reach < best_lam and reach <= ceiling:
+            break
+        lam = spectral_radius(g, tol).lam
+        violations += lam > ceiling
+        if lam > best_lam:
+            best_lam, tied = lam, []
+        if lam == best_lam:
+            tied.append(g)
     cons_lam = spectral_radius(cons, tol).lam
     return SearchReport(
         n=n,
         family=family.kind,
         params=family.params_label(),
         max_lambda=best_lam,
-        argmax_g6=best_lam_g6,
+        argmax_g6=_least_graph6(tied),
         max_edges=best_e,
-        edge_argmax_g6=best_e_g6,
+        edge_argmax_g6=_least_graph6(g for g in members if g.edge_count == best_e),
         construction_lambda=cons_lam,
         construction_edges=cons.edge_count,
         lambda_match=abs(best_lam - cons_lam) <= MATCH_TOL,
         bound_violations=violations,
-        graphs_scanned=scanned,
+        graphs_scanned=len(graphs),
     )
 
 

@@ -62,7 +62,7 @@ def test_enumeration_counts():
 def test_enumeration_connected_counts():
     expected = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21}
     for n, count in expected.items():
-        assert sum(1 for _ in enumerate_graphs(n, connected_only=True)) == count
+        assert sum(g.is_connected() for g in enumerate_graphs(n)) == count
 
 
 def test_enumeration_no_duplicates():
@@ -341,7 +341,7 @@ def test_scan_rejects_empty_family():
 
 
 def test_scan_without_construction_fails_before_scanning(monkeypatch):
-    monkeypatch.setattr(search, "_scan_chunk", lambda *args: pytest.fail("scanned"))
+    monkeypatch.setattr(search, "family_filter", lambda *args: pytest.fail("scanned"))
     with pytest.raises(ValueError, match="need n >= r-1"):
         scan_family(FamilySpec.kr_minor_free(5), 3)
     with pytest.raises(ValueError, match="need n >= s"):
@@ -356,60 +356,59 @@ def test_search_max_edges_mader_spot():
 
 
 # ---------------------------------------------------------------------------
-# Pruned chunks: spectral_radius and encode_graph6 only where they can matter
+# Pruned scans: spectral_radius only where it can matter
 
 TWELVE_FAMILIES = ([FamilySpec.kr_minor_free(r) for r in range(3, 7)]
                    + [FamilySpec.kst_minor_free(s, t) for s, t in ((2, 2), (2, 3), (2, 4), (3, 3))]
                    + [FamilySpec.cdv_at_most(m) for m in range(1, 5)])
 
 
-def solve_every_member(family, chunk, bound):
-    """Reference chunk tally: every member solved and encoded, then folded
-    in one by one."""
-    acc = (len(chunk), 0, None, None, None, None, 0)
-    for g in chunk:
-        if search.family_filter(family, g):
-            lam = search.spectral_radius(g, 1e-12).lam
-            g6 = encode_graph6(g)
-            violation = int(bound is not None and lam > bound + MATCH_TOL)
-            acc = search._fold(acc, (0, 1, lam, g6, g.edge_count, g6, violation))
-    return acc
+def solve_every_member(family, n, bound):
+    """Reference scan: every member of the n-vertex atlas solved and encoded.
+    Returns (max lambda, its least graph6, max edges, its least graph6,
+    members whose lambda exceeds bound + MATCH_TOL)."""
+    members = [g for g in enumerate_graphs(n) if search.family_filter(family, g)]
+    lams = [search.spectral_radius(g, 1e-12).lam for g in members]
+    top_lam, top_e = max(lams), max(g.edge_count for g in members)
+    return (top_lam, min(encode_graph6(g) for g, lam in zip(members, lams) if lam == top_lam),
+            top_e, min(encode_graph6(g) for g in members if g.edge_count == top_e),
+            sum(bound is not None and lam > bound + MATCH_TOL for lam in lams))
 
 
-def test_scan_chunk_matches_solving_every_member(monkeypatch):
-    # every 64-graph chunk of the n = 6 and 7 atlas, for the twelve families,
-    # with each scan's own bound and with hand-set ones: 2.0 is lambda of
-    # K_{1,4} and of every cycle, and 2.5 and 3.0 give positive violation
-    # counts, which no kst scan over the atlas has. Memberships and solves
-    # are remembered per graph, so each is computed once.
+def test_scan_matches_solving_every_member(monkeypatch):
+    # the n = 6 and 7 scans of the twelve families, each with its own bound,
+    # and the kst scans also with hand-set ones: 2.0 is lambda of K_{1,4}
+    # and of every cycle, and 2.5 and 3.0 give positive violation counts,
+    # which no kst scan over the atlas has. Memberships and solves are
+    # remembered per graph, so each is computed once.
     real_filter, real_solve = search.family_filter, search.spectral_radius
     members, solved = {}, {}
 
     def remembered_filter(family, g):
-        if (family, id(g)) not in members:
-            members[family, id(g)] = real_filter(family, g)
-        return members[family, id(g)]
+        if (family, g) not in members:
+            members[family, g] = real_filter(family, g)
+        return members[family, g]
 
     def remembered_solve(g, tol):
-        if id(g) not in solved:
-            solved[id(g)] = real_solve(g, tol)
-        return solved[id(g)]
+        if g not in solved:
+            solved[g] = real_solve(g, tol)
+        return solved[g]
 
     monkeypatch.setattr(search, "family_filter", remembered_filter)
     monkeypatch.setattr(search, "spectral_radius", remembered_solve)
-    violations = {}
+    violations = dict.fromkeys(("own", 2.0, 2.5, 3.0), 0)
     for family in TWELVE_FAMILIES:
         for n in (6, 7):
-            atlas = list(enumerate_graphs(n))
             own = kst_lambda_bound(n, family.s, family.t) if family.kind == "kst" else None
-            for start in range(0, len(atlas), 64):
-                chunk = atlas[start:start + 64]
-                for bound in (own, 2.0, 2.5, 3.0):
-                    got = search._scan_chunk(family, chunk, bound, 1e-12)
-                    assert got == solve_every_member(family, chunk, bound), (
-                        family, n, start, bound)
-                    violations[bound] = violations.get(bound, 0) + got[6]
-    assert violations[None] == 0
+            hand_set = (2.0, 2.5, 3.0) if family.kind == "kst" else ()
+            for key, bound in (("own", own), *zip(hand_set, hand_set)):
+                monkeypatch.setattr(search, "kst_lambda_bound", lambda n, s, t: bound)
+                r = scan_family(family, n)
+                got = (r.max_lambda, r.argmax_g6, r.max_edges, r.edge_argmax_g6,
+                       r.bound_violations)
+                assert got == solve_every_member(family, n, bound), (family, n, bound)
+                violations[key] += r.bound_violations
+    assert violations["own"] == 0
     assert violations[2.0] > violations[2.5] > violations[3.0] > 0
 
 
@@ -445,7 +444,8 @@ def test_scan_ties_go_to_the_least_graph6_under_pruning(tmp_path):
 
 def test_scan_solves_a_fraction_of_the_members(monkeypatch):
     # the K5-minor-free scan at n = 7 has 869 members; the 2-walk bound
-    # leaves about a hundred to solve (the construction adds one call)
+    # against the best lambda of the whole scan leaves 18 to solve (the
+    # construction adds one call)
     calls = []
     real = search.spectral_radius
 
@@ -455,7 +455,7 @@ def test_scan_solves_a_fraction_of_the_members(monkeypatch):
 
     monkeypatch.setattr(search, "spectral_radius", counted)
     scan_family(FamilySpec.kr_minor_free(5), 7)
-    assert len(calls) < 869 / 4
+    assert len(calls) < 869 / 20
 
 
 # ---------------------------------------------------------------------------
