@@ -43,7 +43,6 @@ import os
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, compress
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -283,9 +282,8 @@ def scan_family(
     ceiling = (kst_lambda_bound(n, family.s, family.t) + MATCH_TOL
                if family.kind == "kst" else math.inf)
     best_lam, tied, violations = -math.inf, [], 0
-    for w, g in sorted(zip(map(two_walk_bound, members), members),
-                       key=itemgetter(0), reverse=True):
-        reach = math.sqrt(w) * (1 + _ROUNDING_SLACK)
+    for g in sorted(members, key=two_walk_bound, reverse=True):
+        reach = math.sqrt(two_walk_bound(g)) * (1 + _ROUNDING_SLACK)
         if reach < best_lam and reach <= ceiling:
             break
         lam = spectral_radius(g, tol).lam

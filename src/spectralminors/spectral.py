@@ -129,10 +129,8 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> EigenResult:
     for mask in g.component_masks():
         vs = list(_bits(mask))
         pos[vs] = np.arange(len(vs))
-        # unpack only the columns lo..vs[-1] the component spans
-        lo = vs[0]
-        src, dst = np.nonzero(_bit_matrix([g.rows[v] >> lo for v in vs], vs[-1] + 1 - lo))
-        lam, x, resid, it = _component_power(src, pos[lo:][dst], len(vs), tol)
+        src, dst = np.nonzero(_bit_matrix([g.rows[v] for v in vs], g.n))
+        lam, x, resid, it = _component_power(src, pos[dst], len(vs), tol)
         if best is None or lam > best[0]:
             best = (lam, x, resid, it)
             best_vs = vs

@@ -220,31 +220,6 @@ def test_dense_seed_switch_and_ties():
         assert not any(res.vector[part.n:])
 
 
-def test_components_unpack_only_their_span(monkeypatch):
-    # a component's rows are unpacked over the columns from its least to its
-    # largest vertex, not over all n, so many small components cost O(n)
-    widths = []
-    real = spectral._bit_matrix
-
-    def recorded(rows, n):
-        widths.append(n)
-        return real(rows, n)
-
-    monkeypatch.setattr(spectral, "_bit_matrix", recorded)
-    assert spectral_radius(Graph.empty(300)).lam == 0.0
-    assert widths == [1] * 300
-    widths.clear()
-    assert spectral_radius(disjoint_union(*[complete(5)] * 40)).lam == 4.0
-    assert widths == [5] * 40
-    widths.clear()
-    # a 4-cycle on the even vertices 0..6 and a path on the odd ones 1..5
-    interleaved = disjoint_union(cycle(4), path(3)).relabel([0, 2, 4, 6, 1, 3, 5])
-    res = spectral_radius(interleaved)
-    assert widths == [7, 5]
-    assert res.lam == spectral_radius(cycle(4)).lam
-    assert res.vector == (1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
-
-
 def test_convergence_error_names_the_component(monkeypatch):
     monkeypatch.setattr(spectral, "ITERATION_CAP", 5)
     with pytest.raises(ConvergenceError, match=r"50-vertex component.*last lambda .*"
