@@ -58,6 +58,14 @@ that call, so a nonplanar verdict or a rejected embedding decides nothing and
 the search runs as before: a fault there can cost time but not change an
 answer. "Yes" answers and their witnesses always come from the search.
 
+The search tries the candidates for a branch set in one fixed order: least
+root vertex first; from a set, depth first, each extension by the lowest
+vertex of its frontier; and once every set through an extension vertex has
+been tried, that vertex is excluded for the rest of the branch, so each
+connected set comes up once. The witness is the first model met in this
+order, and the pinned witness digests of the tests depend on it: changing
+the order changes witnesses, never answers.
+
 Everything here works on bitmask vertex sets over the original labels. A
 contracted vertex keeps the mask of the original vertices merged into it, so
 witnesses are lifted back to G's labeling by a union of those masks.
@@ -175,6 +183,49 @@ def _reduce(g_rows, g_act: int, limit: int):
     return rows, act, merged
 
 
+def _candidates(g_rows, free: int, cap: int, reqs):
+    """Connected subsets of free with at most cap vertices meeting every mask
+    in reqs, each generated exactly once, in the order of the module
+    docstring. A depth-first walk over an explicit stack of [subset,
+    extension, banned] frames: a subset is extended by the lowest bit of its
+    extension, which is then banned in the subset's later extensions."""
+    stack = []
+    roots, root_banned = free, 0
+    while roots:
+        rb = roots & -roots
+        roots ^= rb
+        s, banned = rb, root_banned
+        ext = g_rows[rb.bit_length() - 1] & free & ~banned & ~rb
+        root_banned |= rb
+        while True:
+            for r in reqs:
+                if not s & r:
+                    break
+            else:
+                yield s
+            # extend s only while it is under cap and every req stays in reach
+            if ext and s.bit_count() < cap:
+                potential = s | (free & ~banned)
+                for r in reqs:
+                    if not r & potential:
+                        break
+                else:
+                    stack.append([s, ext, banned])
+            if not stack:
+                break
+            top = stack[-1]
+            ps, pext, banned = top
+            vb = pext & -pext
+            pext ^= vb
+            if pext:
+                top[1] = pext
+                top[2] = banned | vb
+            else:
+                stack.pop()
+            s = ps | vb
+            ext = (pext | (g_rows[vb.bit_length() - 1] & free)) & ~s & ~banned
+
+
 def _backtrack(h_rows, h_act: int, g_rows, g_act: int):
     hvs = sorted(_bits(h_act), key=lambda v: (-(h_rows[v] & h_act).bit_count(), v))
     hn = len(hvs)
@@ -185,50 +236,23 @@ def _backtrack(h_rows, h_act: int, g_rows, g_act: int):
     blocks = [0] * hn
     nbhd = [0] * hn
 
-    def candidates(free: int, cap: int, reqs):
-        # Connected subsets of free with at most cap vertices meeting every
-        # mask in reqs, each subset generated exactly once (by least vertex,
-        # with in-branch exclusion).
-        def grow(s, ext, banned):
-            if all(s & r for r in reqs):
-                yield s
-            if s.bit_count() >= cap:
-                return
-            potential = s | (free & ~banned)
-            for r in reqs:
-                if not r & potential:
-                    return
-            while ext:
-                vb = ext & -ext
-                ext ^= vb
-                ns = s | vb
-                yield from grow(
-                    ns,
-                    (ext | (g_rows[vb.bit_length() - 1] & free)) & ~ns & ~banned,
-                    banned,
-                )
-                banned |= vb
-
-        banned = 0
-        for rt in _bits(free):
-            rb = 1 << rt
-            yield from grow(rb, g_rows[rt] & free & ~banned & ~rb, banned)
-            banned |= rb
-
     def place(i: int, free: int) -> bool:
         if i == hn:
             return True
         reqs = [nbhd[j] & free for j in earlier[i]]
-        if any(r == 0 for r in reqs):
+        if 0 in reqs:
             return False
         # at least 1: _search calls this with n(H) <= n(G), and every block
         # placed left room for the rest
         cap = free.bit_count() - (hn - i - 1)
-        for b in candidates(free, cap, reqs):
+        for b in _candidates(g_rows, free, cap, reqs):
             blocks[i] = b
             nb = 0
-            for v in _bits(b):
-                nb |= g_rows[v]
+            rest = b
+            while rest:
+                vb = rest & -rest
+                rest ^= vb
+                nb |= g_rows[vb.bit_length() - 1]
             nbhd[i] = nb & ~b
             if place(i + 1, free & ~b):
                 return True

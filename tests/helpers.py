@@ -1,7 +1,8 @@
 """Shared test utilities: the generator of the packaged n <= 7 atlas and
 the automorphism lister it prunes with, two minor oracles independent of the
 backtracker (brute force over set partitions, and a minor-closure table over
-the atlas), a girth computation, a per-edge reference for Graph.relabel, and
+the atlas), the backtracker's candidate generator in its recursive form, a
+girth computation, a per-edge reference for Graph.relabel, and
 random-graph builders."""
 
 from __future__ import annotations
@@ -151,6 +152,38 @@ def oracle_has_minor(h: Graph, g: Graph) -> bool:
                            for a, b in hedges):
                         return True
     return False
+
+
+def reference_candidates(g_rows, free: int, cap: int, reqs):
+    """The recursive form of minors._candidates, the reference for its
+    order: connected subsets of free with at most cap vertices meeting every
+    mask in reqs, each subset generated exactly once (by least vertex, with
+    in-branch exclusion)."""
+    def grow(s, ext, banned):
+        if all(s & r for r in reqs):
+            yield s
+        if s.bit_count() >= cap:
+            return
+        potential = s | (free & ~banned)
+        for r in reqs:
+            if not r & potential:
+                return
+        while ext:
+            vb = ext & -ext
+            ext ^= vb
+            ns = s | vb
+            yield from grow(
+                ns,
+                (ext | (g_rows[vb.bit_length() - 1] & free)) & ~ns & ~banned,
+                banned,
+            )
+            banned |= vb
+
+    banned = 0
+    for rt in _bits(free):
+        rb = 1 << rt
+        yield from grow(rb, g_rows[rt] & free & ~banned & ~rb, banned)
+        banned |= rb
 
 
 # The minor-closure table covers the atlas up to this order.

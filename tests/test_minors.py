@@ -46,7 +46,8 @@ from spectralminors.graph import _bits
 from spectralminors.minors import max_degree_residual_bound, triangles
 from spectralminors.planarity import _is_plane_rotation, _lr_rotation
 
-from helpers import girth, oracle_has_minor, random_graph, relabeled, table_has_minor
+from helpers import (girth, oracle_has_minor, random_graph, reference_candidates, relabeled,
+                     table_has_minor)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +223,50 @@ def test_apex_join_witnesses_are_pinned():
     assert (pairs, yes) == (4598, 1594)
     assert digest.hexdigest() == (
         "15216f0c4a58b6d004748e79a3be18fdfa9d66abef22aefd0c11024072383ad7")
+
+
+def test_random_host_witnesses_are_pinned():
+    # branch sets past the atlas: the planarity and outerplanarity
+    # obstructions in 40 seeded G(n, p) hosts on 8 and 9 vertices, patterns
+    # inner, with yes and no answers for each pattern
+    hs = [complete(4), complete_bipartite(2, 3), complete(5), complete_bipartite(3, 3)]
+    rng = random.Random(17)
+    digest = hashlib.sha256()
+    yes = [0] * len(hs)
+    for i in range(40):
+        g = random_graph(rng, 8 + i % 2, rng.choice((0.3, 0.45, 0.6)))
+        for j, h in enumerate(hs):
+            w = has_minor(h, g)
+            digest.update(repr(None if w is None else [sorted(b) for b in w.branch_sets]).encode())
+            yes[j] += w is not None
+    assert yes == [26, 31, 14, 17]
+    assert digest.hexdigest() == (
+        "b4a488922a2613241c2b70aa528ca6c3f67d47383a300b3c3747ece09133baff")
+
+
+def test_candidates_follow_the_recursive_order():
+    # the flat generator against its recursive reference, in order and with
+    # multiplicity, on every n <= 6 atlas host; on n <= 5 also against brute
+    # force over the subsets of free
+    rng = random.Random(3)
+    runs = nonempty = 0
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            for _ in range(6):
+                free = rng.getrandbits(n) or 1 << rng.randrange(n)
+                cap = rng.randint(1, free.bit_count())
+                reqs = [rng.getrandbits(n) & free for _ in range(rng.randint(0, 3))]
+                got = list(minors._candidates(g.rows, free, cap, reqs))
+                assert got == list(reference_candidates(g.rows, free, cap, reqs))
+                if n <= 5:
+                    want = sorted(
+                        s for s in range(1, 1 << n)
+                        if not s & ~free and s.bit_count() <= cap and all(s & r for r in reqs)
+                        and len(g.induced_subgraph(_bits(s)).component_masks()) == 1)
+                    assert sorted(got) == want
+                runs += 1
+                nonempty += bool(got)
+    assert runs == 6 * 208 and 0 < nonempty < runs
 
 
 def test_universal_peeling_stops_after_its_h_minus_v_searches(monkeypatch):
