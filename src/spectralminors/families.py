@@ -5,6 +5,7 @@ validation and labels; the membership tests live in search.family_filter."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .graph import (
     Graph,
@@ -72,9 +73,10 @@ class FamilySpec:
             return f"K{self.s},{self.t}-minor-free"
         return f"mu<={self.m}"
 
+    @cache
     def forbidden_minor(self) -> Graph | None:
-        """The single forbidden graph for kr and kst; None for cdv, whose
-        obstruction sets live with the classification."""
+        """The single forbidden graph for kr and kst, built once per family;
+        None for cdv, whose obstruction sets live with the classification."""
         if self.kind == "kr":
             return complete(self.r)
         if self.kind == "kst":

@@ -10,23 +10,24 @@ canonical form is computed at run time. The file was generated once by
 orbit-pruned vertex augmentation; the tests keep that generator and check
 the file against it. Larger orders come in as graph6 streams.
 
-A scan runs in one pass. Membership, the costly part, is tested in 64-graph
-chunks, on a process pool of at most min(jobs, CPU count, chunks) workers
-or serially; each chunk returns its membership flags only. The rest runs in
-the calling process over all members at once. The edge maximum needs no
-solve. For the spectral maximum the members are visited once, in descending
-order of the integer 2-walk bound w (spectral.two_walk_bound,
-lambda^2 <= w), and spectral_radius runs on a member only while
-sqrt(w) * (1 + 1e-9) is at least the best lambda computed so far, or (kst)
-exceeds bound + MATCH_TOL; the visit stops at the first member that meets
-neither, since no later one has a larger w. This is exact: a computed
-lambda is the Rayleigh quotient of a nonnegative float vector and exceeds
-the true radius by a relative 2e-10 at most, so a skipped member's computed
-lambda lies strictly below the best (it could neither win nor tie) and no
-more than bound + MATCH_TOL (no violation). The report is thus the one
-solving every member would give, to the last bit, at any number of jobs:
-the maximizer's lambda comes from the same spectral_radius call, and ties
-go to the lexicographically least graph6 string (_least_graph6).
+A scan runs in one pass. Membership, the costly part, is mapped over the
+graphs, serially or on a process pool of at most min(jobs, CPU count,
+ceil(graphs / 64)) workers taking 64 graphs per task; the workers return
+membership flags only. The rest runs in the calling process over all
+members at once. The edge maximum needs no solve. For the spectral maximum
+the members are visited once, in descending order of the integer 2-walk
+bound w (spectral.two_walk_bound, lambda^2 <= w), and spectral_radius runs
+on a member only while sqrt(w) * (1 + 1e-9) is at least the best lambda
+computed so far, or (kst) exceeds bound + MATCH_TOL; the visit stops at the
+first member that meets neither, since no later one has a larger w. This is
+exact: a computed lambda is the Rayleigh quotient of a nonnegative float
+vector and exceeds the true radius by a relative 2e-10 at most, so a
+skipped member's computed lambda lies strictly below the best (it could
+neither win nor tie) and no more than bound + MATCH_TOL (no violation). The
+report is thus the one solving every member would give, to the last bit, at
+any number of jobs: the maximizer's lambda comes from the same
+spectral_radius call, and ties go to the lexicographically least graph6
+string (_least_graph6).
 
 family_filter is the membership predicate (for mu <= m, level m's test only);
 clique_completion_safe checks its member hypothesis and its answer through it.
@@ -41,8 +42,8 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass
-from functools import cache
-from itertools import chain, compress
+from functools import cache, partial
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -225,11 +226,6 @@ class SearchReport:
     graphs_scanned: int
 
 
-def _members(family: FamilySpec, chunk: list[Graph]) -> list[bool]:
-    """Membership flags of one chunk, the unit of work a scan shares out."""
-    return [family_filter(family, g) for g in chunk]
-
-
 def _least_graph6(graphs: Iterable[Graph]) -> str:
     """The tie-break between maximizers: the lexicographically least graph6."""
     return min(map(encode_graph6, graphs))
@@ -268,14 +264,14 @@ def scan_family(
     # an order with no construction (every one needs n >= 1) fails here,
     # before any graph is scanned
     cons = family.construction(n)
-    chunks = [graphs[i:i + _CHUNK] for i in range(0, len(graphs), _CHUNK)]
-    workers = _pool_size(jobs, len(chunks))
+    member = partial(family_filter, family)
+    workers = _pool_size(jobs, math.ceil(len(graphs) / _CHUNK))
     if workers > 1:
         with multiprocessing.Pool(processes=workers) as pool:
-            flags = pool.starmap(_members, [(family, c) for c in chunks])
+            flags = pool.map(member, graphs, chunksize=_CHUNK)
     else:
-        flags = [_members(family, c) for c in chunks]
-    members = list(compress(graphs, chain.from_iterable(flags)))
+        flags = map(member, graphs)
+    members = list(compress(graphs, flags))
     if not members:
         raise ValueError(f"no member of {family.label()} among the {len(graphs)} graphs scanned")
     best_e = max(g.edge_count for g in members)

@@ -42,7 +42,7 @@ from spectralminors import (
     spectral_radius,
     verify_membership,
 )
-from spectralminors import canon, search
+from spectralminors import canon, families, search
 from spectralminors.search import MATCH_TOL, _pool_size
 
 import helpers
@@ -335,6 +335,53 @@ def test_pool_size_is_capped():
     assert _pool_size(0, 5) == 1
 
 
+def test_scan_maps_membership_on_the_pool_in_64_graph_chunks(monkeypatch):
+    # the 1,044 graphs at n = 7 make 17 tasks of 64; the report is the
+    # serial one whatever the pool does
+    calls = []
+
+    class RecordingPool:
+        """Stands in for multiprocessing.Pool: records the worker count and
+        the map chunk size, and maps serially in this process."""
+
+        def __init__(self, processes):
+            self.processes = processes
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            calls.append((self.processes, chunksize))
+            return list(map(fn, items))
+
+    family = FamilySpec.kr_minor_free(5)
+    serial = reports_to_csv([scan_family(family, 7, jobs=1)])
+    monkeypatch.setattr(search.multiprocessing, "Pool", RecordingPool)
+    assert reports_to_csv([scan_family(family, 7, jobs=2)]) == serial
+    workers = _pool_size(2, 17)
+    if workers == 1:
+        assert calls == []
+        pytest.skip("one CPU: the scan runs serially")
+    assert calls == [(workers, 64)]
+
+
+def test_scan_builds_the_forbidden_minor_once(monkeypatch):
+    built = []
+    real = families.complete
+
+    def counted(n):
+        built.append(n)
+        return real(n)
+
+    monkeypatch.setattr(families, "complete", counted)
+    FamilySpec.forbidden_minor.cache_clear()
+    scan_family(FamilySpec.kr_minor_free(5), 7, jobs=1)
+    assert built == [5]
+
+
 def test_scan_rejects_empty_family():
     with pytest.raises(ValueError, match="no member"):
         scan_family(FamilySpec.kr_minor_free(3), 3, source=[complete(3)])
@@ -546,3 +593,7 @@ def test_family_forbidden_minor():
     assert FamilySpec.kr_minor_free(4).forbidden_minor() == complete(4)
     assert FamilySpec.kst_minor_free(2, 3).forbidden_minor() == complete_bipartite(2, 3)
     assert FamilySpec.cdv_at_most(2).forbidden_minor() is None
+    # built once per family: equal specs share the graph
+    assert FamilySpec.kr_minor_free(5).forbidden_minor() is FamilySpec("kr", r=5).forbidden_minor()
+    assert (FamilySpec.kst_minor_free(2, 3).forbidden_minor()
+            is FamilySpec("kst", s=2, t=3).forbidden_minor())
