@@ -66,6 +66,13 @@ connected set comes up once. The witness is the first model met in this
 order, and the pinned witness digests of the tests depend on it: changing
 the order changes witnesses, never answers.
 
+Before a branch set is chosen, a counting rule cuts the branch: if a placed
+set B_j still owes k adjacencies to H-vertices not yet placed, and fewer
+than k free vertices neighbour B_j, no model extends the placement, since
+those k later sets are disjoint subsets of the free vertices and each needs
+its own neighbour of B_j. The rule removes only subtrees without a model, so
+the order of the models met, and every witness, stay the same.
+
 Everything here works on bitmask vertex sets over the original labels. A
 contracted vertex keeps the mask of the original vertices merged into it, so
 witnesses are lifted back to G's labeling by a union of those masks.
@@ -230,18 +237,22 @@ def _backtrack(h_rows, h_act: int, g_rows, g_act: int):
     hvs = sorted(_bits(h_act), key=lambda v: (-(h_rows[v] & h_act).bit_count(), v))
     hn = len(hvs)
     hpos = {v: i for i, v in enumerate(hvs)}
-    earlier = []
-    for i, v in enumerate(hvs):
-        earlier.append(sorted(hpos[u] for u in _bits(h_rows[v] & h_act) if hpos[u] < i))
+    adj = [sorted(hpos[u] for u in _bits(h_rows[v] & h_act)) for v in hvs]
+    earlier = [[j for j in adj[i] if j < i] for i in range(hn)]
+    # owed[i]: (j, k) for each position j < i with k >= 1 H-neighbours at
+    # positions i or later (the counting rule of the module docstring)
+    owed = [[(j, k) for j in range(i) if (k := sum(p >= i for p in adj[j]))]
+            for i in range(hn)]
     blocks = [0] * hn
     nbhd = [0] * hn
 
     def place(i: int, free: int) -> bool:
         if i == hn:
             return True
+        for j, k in owed[i]:
+            if (nbhd[j] & free).bit_count() < k:
+                return False
         reqs = [nbhd[j] & free for j in earlier[i]]
-        if 0 in reqs:
-            return False
         # at least 1: _search calls this with n(H) <= n(G), and every block
         # placed left room for the rest
         cap = free.bit_count() - (hn - i - 1)
@@ -305,10 +316,22 @@ def _profile(h: Graph, h_act: int) -> tuple[bool, bool]:
     return nonplanar, nonplanar or not is_outerplanar(hs)
 
 
+@lru_cache(maxsize=1024)
+def _peel_vertices(h: Graph, h_act: int) -> tuple[int, ...]:
+    """The first vertex v, in label order, of each isomorphism class of H - v
+    on h_act: the vertices universal peeling tries."""
+    seen = {}
+    for v in _bits(h_act):
+        seen.setdefault(canonical_key(h.induced_subgraph(_bits(h_act ^ (1 << v)))), v)
+    return tuple(seen.values())
+
+
 def _excluded(h: Graph, h_act: int, d: int, g_rows, g_act: int) -> bool:
     """True if a certificate of the module docstring shows that H on h_act,
     of minimum degree d, is not a minor of G on g_act."""
-    if _elimination_width_below(g_rows, g_act, d):
+    # With d <= 3 the width test cannot fire: _reduce left every vertex of
+    # the nonempty G with degree >= d, so the first elimination meets d.
+    if d > 3 and _elimination_width_below(g_rows, g_act, d):
         return True
     nonplanar, nonouterplanar = _profile(h, h_act)
     if nonplanar:
@@ -350,14 +373,8 @@ def _search(h: Graph, h_act: int, g_rows, g_act: int):
     for u in _bits(g_act):
         if g_rows[u] & g_act == g_act ^ (1 << u):
             gm = g_act ^ (1 << u)
-            seen = set()
-            for v in _bits(h_act):
-                hm = h_act ^ (1 << v)
-                key = canonical_key(h.induced_subgraph(_bits(hm)))
-                if key in seen:
-                    continue
-                seen.add(key)
-                sub = _search(h, hm, g_rows, gm)
+            for v in _peel_vertices(h, h_act):
+                sub = _search(h, h_act ^ (1 << v), g_rows, gm)
                 if sub is not None:
                     sub[v] = 1 << u
                     return sub

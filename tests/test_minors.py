@@ -12,6 +12,7 @@ from spectralminors import (
     HypothesisViolation,
     MinorWitness,
     are_isomorphic,
+    canonical_key,
     clique_completion_safe,
     complete,
     complete_bipartite,
@@ -244,6 +245,25 @@ def test_random_host_witnesses_are_pinned():
         "b4a488922a2613241c2b70aa528ca6c3f67d47383a300b3c3747ece09133baff")
 
 
+def test_bipartite_witnesses_in_larger_random_hosts_are_pinned():
+    # K2,4 and K3,4 in 24 seeded G(n, p) hosts on 9 to 11 vertices, patterns
+    # inner, with yes and no answers for each pattern
+    hs = [complete_bipartite(2, 4), complete_bipartite(3, 4)]
+    rng = random.Random(23)
+    digest = hashlib.sha256()
+    yes = [0] * len(hs)
+    for i in range(24):
+        g = random_graph(rng, 9 + i % 3, rng.choice((0.3, 0.45, 0.6)))
+        for j, h in enumerate(hs):
+            w = has_minor(h, g)
+            assert w is None or verify_witness(h, g, w)
+            digest.update(repr(None if w is None else [sorted(b) for b in w.branch_sets]).encode())
+            yes[j] += w is not None
+    assert yes == [15, 8]
+    assert digest.hexdigest() == (
+        "6c037228f24b766cd33ab23d61ad3114e396d896bd9e4c04faf848628c328d2e")
+
+
 def test_candidates_follow_the_recursive_order():
     # the flat generator against its recursive reference, in order and with
     # multiplicity, on every n <= 6 atlas host; on n <= 5 also against brute
@@ -285,6 +305,25 @@ def test_universal_peeling_stops_after_its_h_minus_v_searches(monkeypatch):
     monkeypatch.setattr(minors, "_search", counting)
     assert has_minor(h, g) is None
     assert len(calls) == 6
+
+
+def test_peeled_classes_are_computed_once(monkeypatch):
+    # the classes of H - v depend on H and its active set only, so a second
+    # identical query builds no canonical key
+    h, g = complete_bipartite(3, 4), construct_kst_extremal(22, 3, 4)
+    keys = []
+
+    def counting(x):
+        keys.append(x)
+        return canonical_key(x)
+
+    monkeypatch.setattr(minors, "canonical_key", counting)
+    minors._peel_vertices.cache_clear()
+    assert has_minor(h, g) is None
+    assert keys
+    keys.clear()
+    assert has_minor(h, g) is None
+    assert keys == []
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +506,21 @@ def test_planar_host_k33_answer_is_fast():
         start = time.perf_counter()
         assert has_minor(complete_bipartite(3, 3), r) is None
         assert time.perf_counter() - start < 0.5
+
+
+def test_elimination_width_cannot_fire_below_degree_four():
+    # a nonempty host that _reduce leaves unchanged has minimum degree >= d
+    # for d <= 3, so its elimination width is never below d and _excluded
+    # skips the test
+    unchanged = 0
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            act = (1 << n) - 1
+            for d in (1, 2, 3):
+                if minors._reduce(g.rows, act, d) is None:
+                    assert not minors._elimination_width_below(g.rows, act, d)
+                    unchanged += 1
+    assert unchanged > 1000
 
 
 def test_elimination_width_settles_k6_in_k4_12():
