@@ -55,7 +55,6 @@ from .minors import (
     linkless_obstructions,
     max_degree_residual_bound,
     outerplanar_obstructions,
-    petersen_family,
     planar_obstructions,
     verify_witness,
     y_to_delta,

@@ -102,10 +102,6 @@ def _add_family_flags(p: argparse.ArgumentParser):
     p.add_argument("--m", type=int)
 
 
-_TOL_HELP = ("power iteration stops when the eigen-residual |Ax - lambda x| is at most "
-             "tol * max(1, lambda) (default: %(default)s)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sml",
@@ -119,7 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lambda", help="spectral radius")
     p.add_argument("graph", help="graph6, name, or - for stdin")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help=_TOL_HELP)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help="power iteration stops when the eigen-residual |Ax - lambda x| is "
+                        "at most tol * max(1, lambda) (default: %(default)s)")
     p.add_argument("--full", action="store_true",
                    help="also print vector, residual, iterations, lambda/sqrt(n)")
 
@@ -150,7 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="write to this path instead of stdout")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                    help="worker processes (default: cpu count)")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help=_TOL_HELP)
 
     p = sub.add_parser("verify", help="membership report for one graph")
     _add_family_flags(p)
@@ -218,7 +215,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_search(args) -> int:
     family = args._family
-    report = scan_family(family, args.n, source=args.source, jobs=args.jobs, tol=args.tol)
+    report = scan_family(family, args.n, source=args.source, jobs=args.jobs)
     if args.format == "csv":
         out = reports_to_csv([report])
     elif args.format == "json":

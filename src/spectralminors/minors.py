@@ -465,12 +465,6 @@ def delta_y_closure(seed: Graph) -> tuple[Graph, ...]:
 
 
 @lru_cache(maxsize=1)
-def petersen_family() -> tuple[Graph, ...]:
-    """The delta-wye closure of K_6 (seven graphs, all with 15 edges)."""
-    return delta_y_closure(complete(6))
-
-
-@lru_cache(maxsize=1)
 def outerplanar_obstructions() -> tuple[Graph, ...]:
     return complete(4), complete_bipartite(2, 3)
 
@@ -480,8 +474,11 @@ def planar_obstructions() -> tuple[Graph, ...]:
     return complete(5), complete_bipartite(3, 3)
 
 
+@lru_cache(maxsize=1)
 def linkless_obstructions() -> tuple[Graph, ...]:
-    return petersen_family()
+    """The Petersen family: the delta-wye closure of K_6 (seven graphs, all
+    with 15 edges)."""
+    return delta_y_closure(complete(6))
 
 
 def _excludes(obstructions: tuple[Graph, ...], g: Graph) -> bool:

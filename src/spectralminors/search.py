@@ -49,10 +49,9 @@ from typing import Iterable, Iterator
 
 from .cdv import mu_at_most
 from .families import FamilySpec
-from .graph import (Graph, ResidualShape, complete, decompose_apex_clique, encode_graph6,
-                    join, parse_graph6, recognize_residual)
+from .graph import Graph, ResidualShape, encode_graph6, parse_graph6, recognize_residual
 from .minors import has_minor
-from .spectral import DEFAULT_TOL, kst_lambda_bound, spectral_radius, two_walk_bound
+from .spectral import kst_lambda_bound, spectral_radius, two_walk_bound
 
 ENUMERATION_LIMIT = 7
 MATCH_TOL = 1e-9
@@ -177,23 +176,20 @@ class MembershipReport:
     congruent: bool | None = None
 
 
-def verify_membership(g: Graph, family: FamilySpec, tol: float = DEFAULT_TOL) -> MembershipReport:
+def verify_membership(g: Graph, family: FamilySpec) -> MembershipReport:
     member = family_filter(family, g)
-    lam = spectral_radius(g, tol).lam if g.n >= 1 else 0.0
+    lam = spectral_radius(g).lam if g.n >= 1 else 0.0
     if family.kind != "kst":
         return MembershipReport(member, lam, None, None)
     s, t = family.s, family.t
     bound = kst_lambda_bound(g.n, s, t) if g.n >= s else None
-    univ, rest = decompose_apex_clique(g)
+    univ = [v for v, d in enumerate(g.degrees()) if d == g.n - 1]
     apex = len(univ)
     congruent = g.n % t == (s - 1) % t
     structure = False
     residual_kind = None
     if apex >= s - 1:
-        # Keep s-1 universal vertices as the apex clique; the other
-        # apex-s+1 stay in the residual, joined to the rest (a complete graph
-        # joined on extra universal vertices is itself a union of cliques case).
-        residual = join(complete(apex - s + 1), rest)
+        residual = g.induced_subgraph(set(range(g.n)).difference(univ[:s - 1]))
         shape = recognize_residual(residual)
         residual_kind = shape.kind
         structure = congruent and (
@@ -255,7 +251,6 @@ def scan_family(
     n: int,
     source=None,
     jobs: int = 1,
-    tol: float = DEFAULT_TOL,
 ) -> SearchReport:
     """Scan every graph from the source (internal enumeration when None),
     keep the family members, and report both maximizers against the
@@ -282,13 +277,13 @@ def scan_family(
         reach = math.sqrt(two_walk_bound(g)) * (1 + _ROUNDING_SLACK)
         if reach < best_lam and reach <= ceiling:
             break
-        lam = spectral_radius(g, tol).lam
+        lam = spectral_radius(g).lam
         violations += lam > ceiling
         if lam > best_lam:
             best_lam, tied = lam, []
         if lam == best_lam:
             tied.append(g)
-    cons_lam = spectral_radius(cons, tol).lam
+    cons_lam = spectral_radius(cons).lam
     return SearchReport(
         n=n,
         family=family.kind,

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import Graph, _bit_matrix, _bits, join
+from .graph import _BLOCK, Graph, _bit_matrix, _bits, join
 
 ITERATION_CAP = 10 ** 6
 DEFAULT_TOL = 1e-12
@@ -111,6 +111,15 @@ def _component_power(src: np.ndarray, dst: np.ndarray, k: int,
         f"> tol*max(1, lambda) = {tol * max(1.0, lam)!r}")
 
 
+def _edge_arrays(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bit rows' directed edges as (src, dst) index arrays, row-major,
+    unpacked _BLOCK rows at a time so no len(rows) x n array is held."""
+    blocks = [np.nonzero(_bit_matrix(rows[i:i + _BLOCK], n))
+              for i in range(0, len(rows), _BLOCK)]
+    return (np.concatenate([s + i * _BLOCK for i, (s, _) in enumerate(blocks)]),
+            np.concatenate([d for _, d in blocks]))
+
+
 def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> EigenResult:
     """Largest adjacency eigenvalue of g with its nonnegative eigenvector.
 
@@ -129,7 +138,7 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> EigenResult:
     for mask in g.component_masks():
         vs = list(_bits(mask))
         pos[vs] = np.arange(len(vs))
-        src, dst = np.nonzero(_bit_matrix([g.rows[v] for v in vs], g.n))
+        src, dst = _edge_arrays([g.rows[v] for v in vs], g.n)
         lam, x, resid, it = _component_power(src, pos[dst], len(vs), tol)
         if best is None or lam > best[0]:
             best = (lam, x, resid, it)
@@ -232,7 +241,7 @@ class InterlacingCheck(NamedTuple):
     tight: bool
 
 
-def check_interlacing_bound(h1: Graph, h2: Graph, tol: float = DEFAULT_TOL) -> InterlacingCheck:
+def check_interlacing_bound(h1: Graph, h2: Graph) -> InterlacingCheck:
     """For a join of a d-regular h1 with h2 of max degree k, compare the
     spectral radius of the join against the quotient eigenvalue of
     [[d, n2], [n1, k]]. tight reports whether h2 is k-regular, the structural
@@ -243,6 +252,6 @@ def check_interlacing_bound(h1: Graph, h2: Graph, tol: float = DEFAULT_TOL) -> I
     d = degs1.pop() if degs1 else 0
     k = h2.max_degree()
     bound = quotient_bound(QuotientMatrix(d, k, h1.n, h2.n))
-    lam = spectral_radius(join(h1, h2), tol).lam
+    lam = spectral_radius(join(h1, h2)).lam
     tight = len(set(h2.degrees())) == 1
     return InterlacingCheck(bound, lam, tight)

@@ -311,6 +311,8 @@ def test_usage_errors_exit_two(capsys):
         ["construct", "--family", "cdv", "--m", "3", "--s", "2", "--t", "9", "--n", "6"],
         ["verify", "--family", "kst", "--s", "2", "--t", "3", "--r", "9", "K4"],
         ["search", "--family", "cdv", "--m", "3", "--s", "2", "--n", "5"],
+        # scans solve at spectral_radius's default tolerance; only lambda takes --tol
+        ["search", "--family", "kr", "--r", "3", "--n", "5", "--tol", "1e-6"],
         ["lambda"],
         ["nonsense"],
     ):

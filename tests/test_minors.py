@@ -37,7 +37,6 @@ from spectralminors import (
     parse_graph6,
     path,
     petersen,
-    petersen_family,
     planar_obstructions,
     verify_witness,
     y_to_delta,
@@ -173,7 +172,7 @@ def test_witnesses_are_pinned():
     # order and patterns inner; every answer agrees with the minor-closure
     # table
     hs = [complete(4), complete_bipartite(2, 3), complete(5), complete_bipartite(3, 3)]
-    hs += petersen_family()
+    hs += linkless_obstructions()
     digest = hashlib.sha256()
     pairs = yes = 0
     for n in range(8):
@@ -209,7 +208,7 @@ def test_apex_join_witnesses_are_pinned():
     # universal peeling: K1 and K2 joined with every n <= 6 atlas graph,
     # hosts in atlas order with K1 first, patterns as above and inner
     hs = [complete(4), complete_bipartite(2, 3), complete(5), complete_bipartite(3, 3)]
-    hs += petersen_family()
+    hs += linkless_obstructions()
     digest = hashlib.sha256()
     pairs = yes = 0
     for n in range(7):
@@ -535,7 +534,7 @@ def test_edge_budget_separates_the_petersen_family():
     # smaller member would need 15 + 10 - n(H) > 15 edges
     pet = petersen()
     start = time.perf_counter()
-    for h in petersen_family():
+    for h in linkless_obstructions():
         assert (has_minor(h, pet) is not None) == are_isomorphic(h, pet)
     assert time.perf_counter() - start < 1.0
 
@@ -563,7 +562,7 @@ def test_pattern_profile_matches_networkx():
     # that reach _profile again on smaller patterns only
     nx = pytest.importorskip("networkx")
     patterns = [g for n in range(7) for g in enumerate_graphs(n)]
-    patterns += [complete(6), complete_bipartite(3, 4), petersen(), *petersen_family()]
+    patterns += [complete(6), complete_bipartite(3, 4), petersen(), *linkless_obstructions()]
     assert len(patterns) == 219
     minors._profile.cache_clear()
     for h in patterns:
@@ -574,7 +573,7 @@ def test_pattern_profile_matches_networkx():
     # are equal, so the certificate is as strong as the degeneracy's there
     scanned = [complete(r) for r in range(3, 7)]
     scanned += [complete_bipartite(s, t) for s, t in ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4))]
-    scanned += petersen_family()
+    scanned += linkless_obstructions()
     for h in scanned:
         ng = nx.Graph(list(h.edges()))
         assert min(h.degrees()) == max(nx.core_number(ng).values()), encode_graph6(h)
@@ -657,7 +656,7 @@ def test_closure_small_seeds():
 
 
 def test_petersen_family():
-    fam = petersen_family()
+    fam = linkless_obstructions()
     assert len(fam) == 7
     assert all(g.edge_count == 15 for g in fam)
     for i in range(len(fam)):

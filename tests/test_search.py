@@ -415,7 +415,7 @@ def solve_every_member(family, n, bound):
     Returns (max lambda, its least graph6, max edges, its least graph6,
     members whose lambda exceeds bound + MATCH_TOL)."""
     members = [g for g in enumerate_graphs(n) if search.family_filter(family, g)]
-    lams = [search.spectral_radius(g, 1e-12).lam for g in members]
+    lams = [search.spectral_radius(g).lam for g in members]
     top_lam, top_e = max(lams), max(g.edge_count for g in members)
     return (top_lam, min(encode_graph6(g) for g, lam in zip(members, lams) if lam == top_lam),
             top_e, min(encode_graph6(g) for g in members if g.edge_count == top_e),
@@ -436,9 +436,9 @@ def test_scan_matches_solving_every_member(monkeypatch):
             members[family, g] = real_filter(family, g)
         return members[family, g]
 
-    def remembered_solve(g, tol):
+    def remembered_solve(g):
         if g not in solved:
-            solved[g] = real_solve(g, tol)
+            solved[g] = real_solve(g)
         return solved[g]
 
     monkeypatch.setattr(search, "family_filter", remembered_filter)

@@ -220,6 +220,31 @@ def test_dense_seed_switch_and_ties():
         assert not any(res.vector[part.n:])
 
 
+def test_unpack_holds_at_most_a_block_of_rows(monkeypatch):
+    # a component is unpacked _BLOCK rows at a time into the same row-major
+    # edge arrays as one whole unpack, so the solve is bit for bit the same
+    seen = []
+    real = spectral._bit_matrix
+
+    def recording(rows, n):
+        seen.append(len(rows))
+        return real(rows, n)
+
+    monkeypatch.setattr(spectral, "_bit_matrix", recording)
+    for g in (path(300), construct_kst_extremal(601, 3, 4)):
+        assert g.is_connected() and g.n > spectral._BLOCK
+        seen.clear()
+        blocked = spectral_radius(g)
+        assert max(seen) <= spectral._BLOCK and sum(seen) == g.n
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_BLOCK", g.n)
+            seen.clear()
+            whole = spectral_radius(g)
+        assert seen == [g.n]
+        assert (blocked.lam, blocked.iterations) == (whole.lam, whole.iterations)
+        assert blocked.vector == whole.vector
+
+
 def test_convergence_error_names_the_component(monkeypatch):
     monkeypatch.setattr(spectral, "ITERATION_CAP", 5)
     with pytest.raises(ConvergenceError, match=r"50-vertex component.*last lambda .*"
