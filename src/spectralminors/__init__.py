@@ -14,8 +14,6 @@ from .cdv import (
     check_problem1,
     check_problem2,
     classify_mu,
-    mu_join_bound,
-    mu_kmm_check,
 )
 from .families import FamilySpec
 from .graph import (
@@ -27,10 +25,7 @@ from .graph import (
     construct_cdv_extremal,
     construct_kr_extremal,
     construct_kst_extremal,
-    contract_edge,
     cycle,
-    decompose_apex_clique,
-    delete_edge,
     delete_vertex,
     disjoint_union,
     encode_graph6,
@@ -53,17 +48,14 @@ from .minors import (
     is_outerplanar,
     is_planar,
     linkless_obstructions,
-    max_degree_residual_bound,
     outerplanar_obstructions,
     planar_obstructions,
     verify_witness,
     y_to_delta,
 )
 from .search import (
-    HypothesisViolation,
     MembershipReport,
     SearchReport,
-    clique_completion_safe,
     enumerate_graphs,
     family_filter,
     ingest_graph6_stream,
@@ -80,7 +72,6 @@ from .spectral import (
     check_interlacing_bound,
     kst_lambda_bound,
     quotient_bound,
-    rayleigh_delta,
     spectral_radius,
     two_walk_bound,
 )

@@ -4,16 +4,15 @@ union of paths, mu <= 2 iff outerplanar, mu <= 3 iff planar, mu <= 4 iff
 linklessly embeddable. Values 5 and above are reported as a single class.
 The classes are nested, so mu_at_most decides mu <= m by level m's test alone.
 
-Also carries the additive bound under joining a universal vertex and the two
-reported (not asserted) edge-count inequalities for mu-bounded and bipartite
-linkless graphs.
+Also carries the two reported (not asserted) edge-count inequalities for
+mu-bounded and bipartite linkless graphs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, complete_bipartite, is_bipartite, is_path_union
+from .graph import Graph, is_bipartite, is_path_union
 from .minors import is_linkless, is_outerplanar, is_planar
 
 # Levels 1..4 as (label, witness, test). Path unions are outerplanar, outerplanar
@@ -55,17 +54,6 @@ def mu_at_most(g: Graph, m: int) -> bool:
     return _LEVELS[m - 1][2](g)
 
 
-def mu_join_bound(g: Graph, v: int, mu_without: int | MuClass) -> tuple[int, bool]:
-    """Upper bound mu(g) <= mu(g - v) + 1 given a value (or class) for
-    g - v. The second component reports whether the bound is known to be
-    exact: v adjacent to every other vertex and g containing an edge."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    base = mu_without.value if isinstance(mu_without, MuClass) else int(mu_without)
-    exact = g.degree(v) == g.n - 1 and g.edge_count >= 1
-    return base + 1, exact
-
-
 def check_problem1(g: Graph, m: int) -> bool:
     """Report whether e(g) <= m*n - m(m+1)/2 for a graph verified to have
     mu <= m. Decidable only for m <= 4."""
@@ -82,11 +70,3 @@ def check_problem2(g: Graph) -> bool:
     if not is_linkless(g):
         raise ValueError("graph is not linklessly embeddable")
     return g.edge_count <= 3 * g.n - 9
-
-
-def mu_kmm_check(m: int) -> bool:
-    """Confirm classify_mu(K_{m,m}) reports exactly m + 1, for m in {3, 4}
-    (the sizes where the answer lands inside the decidable range)."""
-    if not 3 <= m <= 4:
-        raise ValueError("m must be 3 or 4")
-    return classify_mu(complete_bipartite(m, m)).value == m + 1

@@ -1,7 +1,7 @@
 """Command line interface. One subcommand per operation family:
 
   construct        print the extremal construction as graph6
-  lambda           spectral radius of a graph
+  lambda           spectral radius of a graph, solved to spectral.TOL
   minor            minor test with branch-set witness
   mu               Colin de Verdiere classification
   bound            closed-form eigenvalue ceilings (kst and quotient forms)
@@ -47,7 +47,6 @@ from .search import (
     verify_membership,
 )
 from .spectral import (
-    DEFAULT_TOL,
     ConvergenceError,
     QuotientMatrix,
     kst_lambda_bound,
@@ -115,9 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lambda", help="spectral radius")
     p.add_argument("graph", help="graph6, name, or - for stdin")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help="power iteration stops when the eigen-residual |Ax - lambda x| is "
-                        "at most tol * max(1, lambda) (default: %(default)s)")
     p.add_argument("--full", action="store_true",
                    help="also print vector, residual, iterations, lambda/sqrt(n)")
 
@@ -143,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--source",
                    help=f"graph6 file (default: internal enumeration, n <= {ENUMERATION_LIMIT})")
-    p.add_argument("--objective", choices=("lambda", "edges"), default="lambda")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--output", help="write to this path instead of stdout")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
@@ -171,7 +166,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_lambda(args) -> int:
     g = resolve_graph(args.graph)
-    res = spectral_radius(g, args.tol)
+    res = spectral_radius(g)
     print(_fmt(res.lam))
     if args.full:
         print("residual:", repr(res.residual))
@@ -231,8 +226,6 @@ def _cmd_search(args) -> int:
             f"lambda match: {report.lambda_match}",
             f"bound violations: {report.bound_violations}",
         ]
-        if args.objective == "edges":
-            lines[2], lines[3] = lines[3], lines[2]
         out = "\n".join(lines) + "\n"
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:

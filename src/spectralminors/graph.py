@@ -398,36 +398,6 @@ def delete_vertex(g: Graph, v: int) -> Graph:
     return g.induced_subgraph([u for u in range(g.n) if u != v])
 
 
-def delete_edge(g: Graph, u: int, v: int) -> Graph:
-    if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
-        raise ValueError(f"({u}, {v}) is not an edge")
-    rows = list(g.rows)
-    rows[u] &= ~(1 << v)
-    rows[v] &= ~(1 << u)
-    return Graph(g.n, tuple(rows))
-
-
-def contract_edge(g: Graph, u: int, v: int) -> Graph:
-    """Contract edge uv: the merged vertex keeps label min(u, v), parallel
-    edges collapse, the loop is dropped, labels above max(u, v) shift down."""
-    if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
-        raise ValueError(f"({u}, {v}) is not an edge")
-    lo, hi = min(u, v), max(u, v)
-    merged = (g.rows[lo] | g.rows[hi]) & ~(1 << lo) & ~(1 << hi)
-    rows = []
-    for w in range(g.n):
-        if w == lo:
-            rows.append(merged)
-        elif w == hi:
-            rows.append(0)
-        else:
-            r = g.rows[w] & ~(1 << hi)
-            if merged >> w & 1:
-                r |= 1 << lo
-            rows.append(r)
-    return delete_vertex(Graph(g.n, tuple(rows)), hi)
-
-
 # ---------------------------------------------------------------------------
 # Extremal constructions
 
@@ -474,15 +444,6 @@ def construct_cdv_extremal(n: int, m: int) -> Graph:
 
 # ---------------------------------------------------------------------------
 # Structure recognition
-
-
-def decompose_apex_clique(g: Graph) -> tuple[tuple[int, ...], Graph]:
-    """Split g into (K, H): K is the set of universal vertices (necessarily a
-    clique) and H the subgraph induced on the rest. For a complete graph K is
-    everything and H is empty."""
-    univ = tuple(v for v in range(g.n) if g.degree(v) == g.n - 1)
-    rest = [v for v in range(g.n) if g.degree(v) < g.n - 1]
-    return univ, g.induced_subgraph(rest)
 
 
 @dataclass(frozen=True)

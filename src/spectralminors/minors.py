@@ -426,15 +426,20 @@ def delta_to_y(g: Graph, tri) -> Graph:
     return Graph(g.n + 1, tuple(rows))
 
 
+def _is_y_vertex(g: Graph, v: int) -> bool:
+    """Whether v has degree 3 and pairwise non-adjacent neighbors."""
+    nbrs = g.rows[v]
+    return nbrs.bit_count() == 3 and not any(g.rows[u] & nbrs for u in _bits(nbrs))
+
+
 def y_to_delta(g: Graph, v: int) -> Graph:
     """Inverse move: v must have degree 3 with pairwise non-adjacent
     neighbors; delete v and join its neighbors into a triangle. Defined only
     in the edge-preserving case, the exact inverse of delta_to_y."""
-    if not 0 <= v < g.n or g.degree(v) != 3:
-        raise ValueError(f"vertex {v} does not have degree 3")
+    if not (0 <= v < g.n and _is_y_vertex(g, v)):
+        raise ValueError(f"vertex {v} does not have degree 3 with pairwise "
+                         "non-adjacent neighbors")
     a, b, c = g.neighbors(v)
-    if g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c):
-        raise ValueError(f"neighbors of {v} are not pairwise non-adjacent")
     rows = list(g.rows)
     rows[a] |= (1 << b) | (1 << c)
     rows[b] |= (1 << a) | (1 << c)
@@ -451,11 +456,7 @@ def delta_y_closure(seed: Graph) -> tuple[Graph, ...]:
     while queue:
         g = queue.pop()
         results = [delta_to_y(g, tri) for tri in triangles(g)]
-        for v in range(g.n):
-            if g.degree(v) == 3:
-                a, b, c = g.neighbors(v)
-                if not (g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c)):
-                    results.append(y_to_delta(g, v))
+        results += [y_to_delta(g, v) for v in range(g.n) if _is_y_vertex(g, v)]
         for h in results:
             k = canonical_key(h)
             if k not in seen:
@@ -496,18 +497,3 @@ def is_planar(g: Graph) -> bool:
 
 def is_linkless(g: Graph) -> bool:
     return _excludes(linkless_obstructions(), g)
-
-
-# ---------------------------------------------------------------------------
-# The star-free edge bound
-
-
-def max_degree_residual_bound(h: Graph, t: int) -> bool:
-    """For connected h with no K_{1,t} minor, check e(h) <= n(h) + t(t-3)/2."""
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    if not h.is_connected():
-        raise ValueError("h must be connected")
-    if has_minor(complete_bipartite(1, t), h) is not None:
-        raise ValueError(f"h has a K_(1,{t}) minor")
-    return h.edge_count <= h.n + t * (t - 3) // 2

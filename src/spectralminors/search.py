@@ -29,8 +29,7 @@ any number of jobs: the maximizer's lambda comes from the same
 spectral_radius call, and ties go to the lexicographically least graph6
 string (_least_graph6).
 
-family_filter is the membership predicate (for mu <= m, level m's test only);
-clique_completion_safe checks its member hypothesis and its answer through it.
+family_filter is the membership predicate (for mu <= m, level m's test only).
 """
 
 from __future__ import annotations
@@ -109,55 +108,6 @@ def family_filter(family: FamilySpec, g: Graph) -> bool:
     if family.kind == "cdv":
         return mu_at_most(g, family.m)
     return has_minor(family.forbidden_minor(), g) is None
-
-
-class HypothesisViolation(ValueError):
-    """A verified precondition of a completion check failed. Distinct from the
-    check returning False, which means the hypotheses held but the completed
-    graph left the family."""
-
-
-def clique_completion_safe(g: Graph, K, family: FamilySpec) -> bool:
-    """Complete the vertex set K to a clique and report whether the result
-    still belongs to the family.
-
-    Verified hypotheses (HypothesisViolation when broken): g is a family
-    member; |K| matches the family's apex size (r-2, s-1, or m-1); the common
-    neighborhood T of K outside K is large enough, max(r+1, C(r-2,2)+3) for
-    the K_r family and C(|K|,2)+1 for the others.
-    """
-    ks = sorted(set(K))
-    for v in ks:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-    if not family_filter(family, g):
-        raise HypothesisViolation("graph is not a member of the family")
-    kind = family.kind
-    if kind == "kr":
-        want, a = family.r - 2, family.r - 2
-        need_t = max(family.r + 1, a * (a - 1) // 2 + 3)
-    elif kind == "kst":
-        want = family.s - 1
-        need_t = want * (want - 1) // 2 + 1
-    else:
-        want = family.m - 1
-        need_t = want * (want - 1) // 2 + 1
-    if len(ks) != want:
-        raise HypothesisViolation(
-            f"|K|={len(ks)} does not match the family apex size {want}")
-    common = (1 << g.n) - 1
-    for v in ks:
-        common &= g.rows[v]
-    for v in ks:
-        common &= ~(1 << v)
-    if common.bit_count() < need_t:
-        raise HypothesisViolation(
-            f"common neighborhood has {common.bit_count()} vertices, need {need_t}")
-    g2 = g
-    for i, u in enumerate(ks):
-        for v in ks[i + 1:]:
-            g2 = g2.with_edge(u, v)
-    return family_filter(family, g2)
 
 
 @dataclass(frozen=True)

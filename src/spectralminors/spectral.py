@@ -9,10 +9,8 @@ O(edges). The iteration runs on A + (max degree + 1) I so the dominant
 eigenvalue is simple and positive even on bipartite components, starts from
 the all-ones vector (a regular component stops at iteration 1 with residual
 0.0), and stops when the infinity-norm eigen-residual |A x - lam x| is at
-most tol * max(1, lam), lam being the Rayleigh quotient of x. A tol below
-TOL_FLOOR, the float64 machine epsilon, is rejected up front: rounding alone
-keeps the residual above it. A tol just above it can still be out of reach:
-once STAGNATION_WINDOW iterations in a row set no new least residual, the
+most TOL * max(1, lam), lam being the Rayleigh quotient of x. Once
+STAGNATION_WINDOW iterations in a row set no new least residual, the
 iteration raises ConvergenceError naming the least residual reached.
 
 Components with a small spectral gap, such as long paths, need Theta(k^2)
@@ -39,9 +37,7 @@ import numpy as np
 from .graph import _BLOCK, Graph, _bit_matrix, _bits, join
 
 ITERATION_CAP = 10 ** 6
-DEFAULT_TOL = 1e-12
-# Rounding alone keeps the relative residual above a smaller tol.
-TOL_FLOOR = float(np.finfo(float).eps)
+TOL = 1e-12
 # Largest component given the dense eigh seed: its k x k float64 matrix takes
 # 32 MiB at k = 2048, and k sparse products cost about one eigh.
 DENSE_SEED_MAX = 2048
@@ -76,12 +72,13 @@ def _dense_seed(src: np.ndarray, dst: np.ndarray, k: int) -> np.ndarray:
     return top / top.max()
 
 
-def _component_power(src: np.ndarray, dst: np.ndarray, k: int,
-                     tol: float) -> tuple[float, np.ndarray, float, int]:
+def _component_power(src: np.ndarray, dst: np.ndarray,
+                     k: int) -> tuple[float, np.ndarray, float, int]:
     """Power iteration on one connected k-vertex component whose directed
     edge list (src ascending, every vertex a source when k > 1) is src -> dst."""
     if k == 1:
         return 0.0, np.ones(1), 0.0, 0
+    tol = TOL
     starts = np.flatnonzero(np.diff(src, prepend=-1))
     shift = float(np.diff(starts, append=len(src)).max()) + 1.0
     x = np.ones(k)
@@ -120,7 +117,7 @@ def _edge_arrays(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate([d for _, d in blocks]))
 
 
-def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> EigenResult:
+def spectral_radius(g: Graph) -> EigenResult:
     """Largest adjacency eigenvalue of g with its nonnegative eigenvector.
 
     lam is the Rayleigh quotient of a nonnegative float vector, every sum in
@@ -128,10 +125,6 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> EigenResult:
     radius by a relative 3 n eps at most (under 2e-10 for n <= MAX_VERTICES)."""
     if g.n < 1:
         raise ValueError("spectral radius needs at least one vertex")
-    if not tol >= TOL_FLOOR:
-        raise ValueError(
-            f"tol {tol!r} is below {TOL_FLOOR!r}, the float64 machine epsilon "
-            "and the smallest relative residual rounding allows")
     best = None
     best_vs = None
     pos = np.empty(g.n, np.intp)
@@ -139,7 +132,7 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> EigenResult:
         vs = list(_bits(mask))
         pos[vs] = np.arange(len(vs))
         src, dst = _edge_arrays([g.rows[v] for v in vs], g.n)
-        lam, x, resid, it = _component_power(src, pos[dst], len(vs), tol)
+        lam, x, resid, it = _component_power(src, pos[dst], len(vs))
         if best is None or lam > best[0]:
             best = (lam, x, resid, it)
             best_vs = vs
@@ -165,37 +158,6 @@ def two_walk_bound(g: Graph) -> int:
               for j in range(max(degs, default=0).bit_length())]
     return max((sum((row & p).bit_count() << j for j, p in enumerate(planes))
                 for row in g.rows), default=0)
-
-
-def rayleigh_delta(g: Graph, x, edges_removed, edges_added) -> float:
-    """Change of the Rayleigh quotient x'Ax / x'x when the listed edges are
-    removed and added, the vector x held fixed."""
-    x = [float(v) for v in x]
-    if len(x) != g.n:
-        raise ValueError(f"vector length {len(x)} does not match n={g.n}")
-    norm = sum(v * v for v in x)
-    if norm == 0.0:
-        raise ValueError("vector must be nonzero")
-    removed = {frozenset(e) for e in edges_removed}
-    added = {frozenset(e) for e in edges_added}
-    delta = 0.0
-    for e in removed:
-        if len(e) != 2:
-            raise ValueError(f"loop or malformed edge {set(e)}")
-        u, v = sorted(e)
-        if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
-            raise ValueError(f"({u}, {v}) is not an edge of g")
-        delta -= 2.0 * x[u] * x[v]
-    for e in added:
-        if len(e) != 2:
-            raise ValueError(f"loop or malformed edge {set(e)}")
-        u, v = sorted(e)
-        if not (0 <= u < g.n and 0 <= v < g.n):
-            raise ValueError(f"({u}, {v}) out of range")
-        if g.has_edge(u, v):
-            raise ValueError(f"({u}, {v}) is already an edge of g")
-        delta += 2.0 * x[u] * x[v]
-    return delta / norm
 
 
 @dataclass(frozen=True)

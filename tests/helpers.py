@@ -1,9 +1,12 @@
 """Shared test utilities: the generator of the packaged n <= 7 atlas and
 the automorphism lister it prunes with, two minor oracles independent of the
 backtracker (brute force over set partitions, and a minor-closure table over
-the atlas), the backtracker's candidate generator in its recursive form, a
-girth computation, a per-edge reference for Graph.relabel, and
-random-graph builders."""
+the atlas, built with the edge deletion and contraction moves below), the
+backtracker's candidate generator in its recursive form, a girth
+computation, a per-edge reference for Graph.relabel, random-graph builders,
+and the proof steps of the extremal arguments that the package itself never
+calls (Rayleigh-quotient edge perturbations, clique completion, the mu join
+and K_{m,m} facts, the star-free edge bound, the apex-clique split)."""
 
 from __future__ import annotations
 
@@ -12,12 +15,16 @@ from functools import cache
 from itertools import combinations, permutations
 
 from spectralminors import (
+    FamilySpec,
     Graph,
+    MuClass,
     canonical_key,
-    contract_edge,
-    delete_edge,
+    classify_mu,
+    complete_bipartite,
     delete_vertex,
     enumerate_graphs,
+    family_filter,
+    has_minor,
 )
 from spectralminors.canon import _key, _refine
 from spectralminors.graph import _bits
@@ -186,6 +193,36 @@ def reference_candidates(g_rows, free: int, cap: int, reqs):
         banned |= rb
 
 
+def delete_edge(g: Graph, u: int, v: int) -> Graph:
+    if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
+        raise ValueError(f"({u}, {v}) is not an edge")
+    rows = list(g.rows)
+    rows[u] &= ~(1 << v)
+    rows[v] &= ~(1 << u)
+    return Graph(g.n, tuple(rows))
+
+
+def contract_edge(g: Graph, u: int, v: int) -> Graph:
+    """Contract edge uv: the merged vertex keeps label min(u, v), parallel
+    edges collapse, the loop is dropped, labels above max(u, v) shift down."""
+    if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
+        raise ValueError(f"({u}, {v}) is not an edge")
+    lo, hi = min(u, v), max(u, v)
+    merged = (g.rows[lo] | g.rows[hi]) & ~(1 << lo) & ~(1 << hi)
+    rows = []
+    for w in range(g.n):
+        if w == lo:
+            rows.append(merged)
+        elif w == hi:
+            rows.append(0)
+        else:
+            r = g.rows[w] & ~(1 << hi)
+            if merged >> w & 1:
+                r |= 1 << lo
+            rows.append(r)
+    return delete_vertex(Graph(g.n, tuple(rows)), hi)
+
+
 # The minor-closure table covers the atlas up to this order.
 TABLE_ORDER = 7
 
@@ -280,3 +317,126 @@ def relabeled(rng: random.Random, g: Graph) -> Graph:
     perm = list(range(g.n))
     rng.shuffle(perm)
     return g.relabel(perm)
+
+
+# ---------------------------------------------------------------------------
+# Proof steps of the extremal arguments, checked by the tests only
+
+
+def rayleigh_delta(g: Graph, x, edges_removed, edges_added) -> float:
+    """Change of the Rayleigh quotient x'Ax / x'x when the listed edges are
+    removed and added, the vector x held fixed."""
+    x = [float(v) for v in x]
+    if len(x) != g.n:
+        raise ValueError(f"vector length {len(x)} does not match n={g.n}")
+    norm = sum(v * v for v in x)
+    if norm == 0.0:
+        raise ValueError("vector must be nonzero")
+    removed = {frozenset(e) for e in edges_removed}
+    added = {frozenset(e) for e in edges_added}
+    delta = 0.0
+    for e in removed:
+        if len(e) != 2:
+            raise ValueError(f"loop or malformed edge {set(e)}")
+        u, v = sorted(e)
+        if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
+            raise ValueError(f"({u}, {v}) is not an edge of g")
+        delta -= 2.0 * x[u] * x[v]
+    for e in added:
+        if len(e) != 2:
+            raise ValueError(f"loop or malformed edge {set(e)}")
+        u, v = sorted(e)
+        if not (0 <= u < g.n and 0 <= v < g.n):
+            raise ValueError(f"({u}, {v}) out of range")
+        if g.has_edge(u, v):
+            raise ValueError(f"({u}, {v}) is already an edge of g")
+        delta += 2.0 * x[u] * x[v]
+    return delta / norm
+
+
+class HypothesisViolation(ValueError):
+    """A verified precondition of a completion check failed. Distinct from the
+    check returning False, which means the hypotheses held but the completed
+    graph left the family."""
+
+
+def clique_completion_safe(g: Graph, K, family: FamilySpec) -> bool:
+    """Complete the vertex set K to a clique and report whether the result
+    still belongs to the family.
+
+    Verified hypotheses (HypothesisViolation when broken): g is a family
+    member; |K| matches the family's apex size (r-2, s-1, or m-1); the common
+    neighborhood T of K outside K is large enough, max(r+1, C(r-2,2)+3) for
+    the K_r family and C(|K|,2)+1 for the others.
+    """
+    ks = sorted(set(K))
+    for v in ks:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
+    if not family_filter(family, g):
+        raise HypothesisViolation("graph is not a member of the family")
+    kind = family.kind
+    if kind == "kr":
+        want, a = family.r - 2, family.r - 2
+        need_t = max(family.r + 1, a * (a - 1) // 2 + 3)
+    elif kind == "kst":
+        want = family.s - 1
+        need_t = want * (want - 1) // 2 + 1
+    else:
+        want = family.m - 1
+        need_t = want * (want - 1) // 2 + 1
+    if len(ks) != want:
+        raise HypothesisViolation(
+            f"|K|={len(ks)} does not match the family apex size {want}")
+    common = (1 << g.n) - 1
+    for v in ks:
+        common &= g.rows[v]
+    for v in ks:
+        common &= ~(1 << v)
+    if common.bit_count() < need_t:
+        raise HypothesisViolation(
+            f"common neighborhood has {common.bit_count()} vertices, need {need_t}")
+    g2 = g
+    for i, u in enumerate(ks):
+        for v in ks[i + 1:]:
+            g2 = g2.with_edge(u, v)
+    return family_filter(family, g2)
+
+
+def mu_join_bound(g: Graph, v: int, mu_without: int | MuClass) -> tuple[int, bool]:
+    """Upper bound mu(g) <= mu(g - v) + 1 given a value (or class) for
+    g - v. The second component reports whether the bound is known to be
+    exact: v adjacent to every other vertex and g containing an edge."""
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range")
+    base = mu_without.value if isinstance(mu_without, MuClass) else int(mu_without)
+    exact = g.degree(v) == g.n - 1 and g.edge_count >= 1
+    return base + 1, exact
+
+
+def mu_kmm_check(m: int) -> bool:
+    """Confirm classify_mu(K_{m,m}) reports exactly m + 1, for m in {3, 4}
+    (the sizes where the answer lands inside the decidable range)."""
+    if not 3 <= m <= 4:
+        raise ValueError("m must be 3 or 4")
+    return classify_mu(complete_bipartite(m, m)).value == m + 1
+
+
+def max_degree_residual_bound(h: Graph, t: int) -> bool:
+    """For connected h with no K_{1,t} minor, check e(h) <= n(h) + t(t-3)/2."""
+    if t < 1:
+        raise ValueError("t must be at least 1")
+    if not h.is_connected():
+        raise ValueError("h must be connected")
+    if has_minor(complete_bipartite(1, t), h) is not None:
+        raise ValueError(f"h has a K_(1,{t}) minor")
+    return h.edge_count <= h.n + t * (t - 3) // 2
+
+
+def decompose_apex_clique(g: Graph) -> tuple[tuple[int, ...], Graph]:
+    """Split g into (K, H): K is the set of universal vertices (necessarily a
+    clique) and H the subgraph induced on the rest. For a complete graph K is
+    everything and H is empty."""
+    univ = tuple(v for v in range(g.n) if g.degree(v) == g.n - 1)
+    rest = [v for v in range(g.n) if g.degree(v) < g.n - 1]
+    return univ, g.induced_subgraph(rest)

@@ -13,9 +13,7 @@ from spectralminors import (
     complete,
     complete_bipartite,
     construct_cdv_extremal,
-    contract_edge,
     cycle,
-    delete_edge,
     delete_vertex,
     enumerate_graphs,
     family_filter,
@@ -23,15 +21,13 @@ from spectralminors import (
     independent,
     is_path_union,
     join,
-    mu_join_bound,
-    mu_kmm_check,
     path,
     petersen,
 )
 from spectralminors.cdv import mu_at_most
 from spectralminors.graph import Graph
 
-from helpers import random_graph
+from helpers import contract_edge, delete_edge, mu_join_bound, mu_kmm_check, random_graph
 
 
 def test_classification_ladder():

@@ -14,10 +14,7 @@ from spectralminors import (
     construct_cdv_extremal,
     construct_kr_extremal,
     construct_kst_extremal,
-    contract_edge,
     cycle,
-    decompose_apex_clique,
-    delete_edge,
     delete_vertex,
     disjoint_union,
     encode_graph6,
@@ -41,7 +38,8 @@ from spectralminors.graph import (
 )
 from spectralminors.search import enumerate_graphs
 
-from helpers import random_graph, random_sparse_graph, relabel_by_edges
+from helpers import (contract_edge, decompose_apex_clique, delete_edge, random_graph,
+                     random_sparse_graph, relabel_by_edges)
 
 
 def edge_set(g):

@@ -9,17 +9,13 @@ import pytest
 from spectralminors import (
     FamilySpec,
     Graph,
-    HypothesisViolation,
     MinorWitness,
     are_isomorphic,
     canonical_key,
-    clique_completion_safe,
     complete,
     complete_bipartite,
     construct_kst_extremal,
-    contract_edge,
     cycle,
-    delete_edge,
     delete_vertex,
     delta_to_y,
     delta_y_closure,
@@ -43,11 +39,12 @@ from spectralminors import (
 )
 from spectralminors import minors
 from spectralminors.graph import _bits
-from spectralminors.minors import max_degree_residual_bound, triangles
+from spectralminors.minors import triangles
 from spectralminors.planarity import _is_plane_rotation, _lr_rotation
 
-from helpers import (girth, oracle_has_minor, random_graph, reference_candidates, relabeled,
-                     table_has_minor)
+from helpers import (HypothesisViolation, clique_completion_safe, contract_edge, delete_edge,
+                     girth, max_degree_residual_bound, oracle_has_minor, random_graph,
+                     reference_candidates, relabeled, table_has_minor)
 
 
 # ---------------------------------------------------------------------------
