@@ -11,19 +11,26 @@ for bits at or above n (a negative row fails here, before it is ever
 converted to bytes) and for a loop, then symmetry, naming the first pair
 (u, v) in row-major order with bit v of rows[u] set and bit u of rows[v]
 clear. Symmetry and relabel take one of two paths, selected by n alone,
-because the first costs O(n^2) whatever the edge count:
+because the first costs O(n^2) bit operations whatever the edge count:
 
-- n <= DENSE_MAX: numpy on the unpacked 0/1 matrix. Symmetry unpacks all of
-  it, at most 16 MiB, and compares each 256 x 256 tile with its mirror tile
-  transposed; relabel moves the rows as ints and the columns by a take on
-  256 unpacked rows at a time. A sparse graph near the bound is checked
-  slower than by the walk (path(4096): 22 ms against 6 ms), a dense one
-  hundreds of times faster (complete(4096): 23 ms against 14.7 s).
+- n <= DENSE_MAX: numpy on the packed adjacency, the rows' bytes as an
+  n x ceil(n/8) matrix of at most 16 MiB. Symmetry compares each 256-row
+  slab with the same rows of the transpose, which is computed on the packed
+  bytes 8 x 8 bits at a time; relabel moves the rows as ints and the
+  columns by a take on 256 unpacked rows at a time. A sparse graph near the
+  bound is checked slower than by the walk (path(11584): 65 ms against
+  17 ms), a dense one far faster (complete(5000) is built and relabelled in
+  about 0.1 s, where the walk took about 19 s).
+  Orders up to WALK_MAX are walked all the same: so few bits cost less than
+  the numpy calls.
 - n > DENSE_MAX: a Python walk over the set bits of the rows, O(E) steps of
   O(n / 64) word operations each and no n^2 memory. On large sparse graphs it
   is the only cheap path: path(50000) is checked in about 0.35 s, where the
-  matrix alone would take 2.5 GB, and Graph.empty(MAX_VERTICES) 66 GB. Each
-  edge is a Python step, so complete(5000) takes about 20 s.
+  packed matrix alone would take 300 MiB, and Graph.empty(MAX_VERTICES)
+  7.8 GiB.
+
+The graph6 codec also works _BLOCK rows at a time on the packed rows, so no
+function here builds an n x n array.
 
 Timings are from a shared 2-core x86-64 machine.
 """
@@ -37,11 +44,15 @@ import numpy as np
 
 # Largest vertex count representable by the 3-byte graph6 length escape.
 MAX_VERTICES = 258047
-# Largest order validated and relabelled on its unpacked adjacency matrix:
-# the n x n uint8 matrix takes 16 MiB at n = 4096. Larger orders walk the bits.
-DENSE_MAX = 4096
-# Rows per block on the dense path: a 256 x 256 tile of the matrix takes
-# 64 KiB, and 256 unpacked rows take 1 MiB at n = 4096.
+# Largest order validated and relabelled on its packed adjacency matrix: the
+# n x ceil(n/8) bytes take 16 MiB at n = 11584. Larger orders walk the bits.
+DENSE_MAX = 11584
+# Largest order whose symmetry is walked whatever its edges: its at most
+# n(n-1) = 240 set bits cost less as Python steps than the packed check's
+# fixed numpy overhead.
+WALK_MAX = 16
+# Rows per slab on the packed path: a 256 x 256 tile unpacked takes 64 KiB,
+# and 256 unpacked rows take 2.8 MiB at n = 11584.
 _BLOCK = 256
 
 _G6_HEADER = ">>graph6<<"
@@ -93,28 +104,20 @@ def _asymmetry_walk(rows) -> tuple[int, int] | None:
     return None
 
 
-def _mirror_tiles(n: int):
-    """Index pairs (tile, mirror) over an n x n matrix: each _BLOCK x _BLOCK
-    tile on or above the diagonal and the tile in its transposed position.
-    Reading the mirror transposed keeps every transposed read within one
-    cached tile; a whole transposed matrix or column slab thrashes the cache
-    at orders near 4096, not only at powers of two (adj |= adj.T took 112 ms
-    at n = 4000 and 6 ms at n = 2005, against 9 ms and 2 ms by tiles)."""
-    b = _BLOCK
-    for i in range(0, n, b):
-        for j in range(i, n, b):
-            yield (slice(i, i + b), slice(j, j + b)), (slice(j, j + b), slice(i, i + b))
-
-
 def _asymmetry_dense(rows, n: int) -> tuple[int, int] | None:
-    """The pair _asymmetry_walk finds, read off the unpacked matrix, tile by
-    tile against the transposed mirror tile. Only a mismatch pays for the
-    full comparison that names the pair."""
-    adj = _bit_matrix(rows, n)
-    if all(np.array_equal(adj[tile], adj[mirror].T) for tile, mirror in _mirror_tiles(n)):
-        return None
-    u, v = np.argwhere(adj > adj.T)[0]  # row-major, so the walk's first pair
-    return (int(u), int(v))
+    """The pair _asymmetry_walk finds, read off the packed matrix one row slab
+    at a time against the same slab of its transpose: the first byte, in
+    row-major order, with a bit whose mirror bit is clear names the pair."""
+    packed = _packed(rows, n)
+    for i in range(0, n, _BLOCK):
+        b = min(i + _BLOCK, n)
+        mirror = _transpose_packed(packed[:, i // 8:(b + 7) // 8])[:b - i]
+        lone = packed[i:b] & ~mirror
+        bad = np.flatnonzero(lone)
+        if bad.size:
+            u, byte = divmod(int(bad[0]), packed.shape[1])
+            return (i + u, 8 * byte + next(_bits(int(lone[u, byte]))))
+    return None
 
 
 @dataclass(frozen=True)
@@ -133,7 +136,7 @@ class Graph:
                 raise ValueError(f"row {u} references vertices >= n")
             if row >> u & 1:
                 raise ValueError(f"loop at vertex {u}")
-        if self.n <= DENSE_MAX:
+        if WALK_MAX < self.n <= DENSE_MAX:
             bad = _asymmetry_dense(self.rows, self.n)
         else:
             bad = _asymmetry_walk(self.rows)
@@ -239,28 +242,78 @@ class Graph:
 # graph6 codec
 
 
+def _packed(rows, n: int) -> np.ndarray:
+    """The bitmask rows as a len(rows) x ceil(n/8) uint8 array: row u is
+    rows[u].to_bytes, so bit v of rows[u] is bit v % 8 (little-endian) of
+    byte v // 8. Built _BLOCK rows at a time, so the row bytes are held
+    twice for one block only."""
+    nb = (n + 7) // 8
+    packed = np.empty((len(rows), nb), np.uint8)
+    for i in range(0, len(rows), _BLOCK):
+        chunk = b"".join(r.to_bytes(nb, "little") for r in rows[i:i + _BLOCK])
+        packed[i:i + _BLOCK] = np.frombuffer(chunk, np.uint8).reshape(-1, nb)
+    return packed
+
+
+def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
+    """The first n bits of each packed row as a 0/1 uint8 row."""
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little")
+
+
+def _pack(adj: np.ndarray) -> np.ndarray:
+    """Inverse of _unpack: each 0/1 row packed into bytes, zero-padded."""
+    return np.packbits(adj, axis=1, bitorder="little")
+
+
 def _bit_matrix(rows, n: int) -> np.ndarray:
     """The bitmask rows as a len(rows) x n uint8 0/1 array: entry [u, v] is
     bit v of rows[u]."""
-    nb = (n + 7) // 8
-    packed = np.frombuffer(b"".join(r.to_bytes(nb, "little") for r in rows), np.uint8)
-    return np.unpackbits(packed.reshape(len(rows), nb), axis=1, count=n, bitorder="little")
+    return _unpack(_packed(rows, n), n)
+
+
+def _packed_rows(packed: np.ndarray) -> tuple[int, ...]:
+    """Inverse of _packed: each row of bytes as a bitmask int."""
+    return tuple(int.from_bytes(row, "little") for row in packed)
 
 
 def _matrix_rows(adj: np.ndarray) -> tuple[int, ...]:
     """Inverse of _bit_matrix: the rows of a 0/1 uint8 array as bitmask ints,
     bit v of row u set iff adj[u, v] is 1."""
-    nb = (adj.shape[1] + 7) // 8
-    packed = np.packbits(adj, axis=1, bitorder="little").tobytes()
-    return tuple(int.from_bytes(packed[u * nb:(u + 1) * nb], "little")
-                 for u in range(adj.shape[0]))
+    return _packed_rows(_pack(adj))
 
 
-def _graph6_triangle(n: int) -> np.ndarray:
-    # graph6 lists the upper triangle column by column; column j is the low j
-    # bits of row j, so the strict lower triangle read row-major is the same
-    # bit sequence.
-    return np.tri(n, k=-1, dtype=bool)
+# (shift, mask) steps that transpose the 8 x 8 bit matrix held in a word with
+# bit 8 * row + column (Hacker's Delight, 7-3): each swaps the bits at
+# distance shift selected by mask with their partners across the diagonal.
+_BIT_TRANSPOSE = tuple((np.uint64(shift), np.uint64(mask)) for shift, mask in (
+    (7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)))
+
+
+def _transpose_packed(packed: np.ndarray) -> np.ndarray:
+    """The transpose of a k x w packed bit matrix (k rows of 8w bits, packed
+    as by _pack) as an 8w x ceil(k/8) packed matrix, computed on the packed
+    bytes: each 8 x 8 block of bits becomes one word, the words are
+    transposed bit-wise, and the grid of blocks is transposed. Unpacking to
+    0/1 bytes and transposing those took 8 times as long on a 2005 x 256
+    slab (1.1 ms against 0.13 ms)."""
+    k, w = packed.shape
+    r = -(-k // 8)
+    blocks = np.zeros((8 * r, w), np.uint8)
+    blocks[:k] = packed
+    # byte j of word [q, c] is byte c of row 8q + j: bit 8j + i is entry (8q + j, 8c + i)
+    x = blocks.reshape(r, 8, w).transpose(0, 2, 1).copy().view("<u8")[..., 0]
+    for shift, mask in _BIT_TRANSPOSE:
+        t = (x ^ (x >> shift)) & mask
+        x ^= t ^ (t << shift)
+    return x.T.copy().view(np.uint8).reshape(w, r, 8).transpose(0, 2, 1).reshape(8 * w, r)
+
+
+def _slab_triangle(a: int, b: int) -> np.ndarray:
+    """Mask of the strict lower triangle on rows a..b-1 and columns 0..b-1.
+    graph6 lists the upper triangle column by column; column j is the low j
+    bits of row j, so the strict lower triangle read row-major is the same bit
+    sequence, and rows a..b-1 hold its bits a(a-1)/2 up to b(b-1)/2."""
+    return np.arange(b) < np.arange(a, b)[:, None]
 
 
 def parse_graph6(text) -> Graph:
@@ -270,62 +323,92 @@ def parse_graph6(text) -> Graph:
     single byte for n <= 62 and the three-byte escape 126,b1,b2,b3 for
     63 <= n <= 258047. The edge bits are the upper triangle in column-major
     order, packed big-endian into 6-bit groups offset by 63.
+
+    The characters are range-checked as ASCII codes in one pass. The rows are
+    then built _BLOCK at a time into the packed n x ceil(n/8) byte matrix:
+    only the characters that cover the block's triangle rows are decoded,
+    into a slab of those rows over the columns left of the block's end; its
+    diagonal tile is mirrored, the slab is packed into its own rows, and its
+    left part, transposed, into the column bytes of the earlier rows. No
+    n x n array is built.
     """
     if isinstance(text, bytes):
         try:
-            s = text.decode("ascii")
+            text = text.decode("ascii")
         except UnicodeDecodeError as exc:
             raise ValueError(f"graph6 input is not ASCII: {exc}") from None
-    else:
-        s = text
-    s = s.strip()
+    s = text.strip()
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER):]
     if not s:
         raise ValueError("empty graph6 string")
-    codes = np.frombuffer(s.encode("utf-32-le"), np.uint32)
-    bad = np.flatnonzero((codes < 63) | (codes > 126))
-    if bad.size:
-        raise ValueError(f"character {s[bad[0]]!r} outside graph6 range")
-    vals = (codes - 63).astype(np.uint8)
-    if vals[0] < 63:
-        n = int(vals[0])
-        body = vals[1:]
+    try:
+        data = s.encode("ascii")
+    except UnicodeEncodeError as exc:
+        # the first non-ASCII character is out of range, so the first out of
+        # range character lies in the ASCII prefix or is that one
+        data = s[:exc.start].encode("ascii") + b"\x7f"
+    codes = np.frombuffer(data, np.uint8)
+    if codes.min() < 63 or codes.max() > 126:
+        bad = np.flatnonzero((codes < 63) | (codes > 126))[0]
+        raise ValueError(f"character {s[bad]!r} outside graph6 range")
+    if codes[0] < 126:
+        n = int(codes[0]) - 63
+        body = codes[1:]
     else:
-        if len(vals) < 4:
+        if len(codes) < 4:
             raise ValueError("truncated graph6 length escape")
-        if vals[1] == 63:
+        if codes[1] == 126:
             raise ValueError(
                 f"graph6 long-form length exceeds the {MAX_VERTICES}-vertex limit")
-        n = int(vals[1]) << 12 | int(vals[2]) << 6 | int(vals[3])
-        body = vals[4:]
-    nbits = n * (n - 1) // 2
-    need = (nbits + 5) // 6
+        n = (int(codes[1]) - 63) << 12 | (int(codes[2]) - 63) << 6 | (int(codes[3]) - 63)
+        body = codes[4:]
+    need = (n * (n - 1) // 2 + 5) // 6
     if len(body) < need:
         raise ValueError(f"truncated graph6 edge section: {len(body)} of {need} bytes")
     if len(body) > need:
         raise ValueError(f"trailing data after graph6 edge section")
-    bits = np.unpackbits(body << 2).reshape(-1, 8)[:, :6].ravel()[:nbits]
-    adj = np.zeros((n, n), np.uint8)
-    adj[_graph6_triangle(n)] = bits
-    for tile, mirror in _mirror_tiles(n):
-        adj[tile] |= adj[mirror].T
-    rows = _matrix_rows(adj)
-    del adj  # freed before Graph unpacks its own copy
+    packed = np.zeros((n, (n + 7) // 8), np.uint8)
+    for a in range(0, n, _BLOCK):
+        b = min(a + _BLOCK, n)
+        lo, hi = a * (a - 1) // 2, b * (b - 1) // 2
+        chars = (body[lo // 6:(hi + 5) // 6] - 63) << 2
+        bits = np.unpackbits(chars).reshape(-1, 8)[:, :6].ravel()
+        slab = np.zeros((b - a, b), np.uint8)
+        slab[_slab_triangle(a, b)] = bits[lo % 6:lo % 6 + hi - lo]
+        slab[:, a:] |= slab[:, a:].T
+        low = _pack(slab)
+        packed[a:b, :low.shape[1]] = low
+        if a:  # the left part, transposed, is columns a..b-1 of the earlier rows
+            packed[:a, a // 8:low.shape[1]] = _transpose_packed(low[:, :a // 8])
+    rows = _packed_rows(packed)
+    del packed  # freed before Graph packs its own copy
     return Graph(n, rows)
 
 
 def encode_graph6(g: Graph) -> str:
-    """Encode a Graph as a graph6 string (no header, no newline)."""
+    """Encode a Graph as a graph6 string (no header, no newline). The rows
+    are unpacked _BLOCK at a time, cut to the columns left of the block's
+    end; their triangle bits go out six to a character, and the bits short
+    of a character carry over to the next block."""
     n = g.n
     if n <= 62:
         head = [n + 63]
     else:
         head = [126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
-    bits = _bit_matrix(g.rows, n)[_graph6_triangle(n)]
-    bits = np.concatenate([bits, np.zeros(-len(bits) % 6, np.uint8)])
-    body = (np.packbits(bits.reshape(-1, 6), axis=1)[:, 0] >> 2) + 63
-    return bytes(head).decode("ascii") + body.tobytes().decode("ascii")
+    body = [bytes(head)]
+    carry = np.zeros(0, np.uint8)
+    for a in range(0, n, _BLOCK):
+        b = min(a + _BLOCK, n)
+        slab = _unpack(_packed(g.rows[a:b], n)[:, :(b + 7) // 8], b)
+        bits = np.concatenate([carry, slab[_slab_triangle(a, b)]])
+        if b == n:
+            bits = np.concatenate([bits, np.zeros(-len(bits) % 6, np.uint8)])
+        cut = len(bits) - len(bits) % 6
+        six = np.packbits(bits[:cut].reshape(-1, 6), axis=1)[:, 0] >> 2
+        body.append((six + 63).tobytes())
+        carry = bits[cut:]
+    return b"".join(body).decode("ascii")
 
 
 # ---------------------------------------------------------------------------

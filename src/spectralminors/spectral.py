@@ -111,7 +111,7 @@ def _component_power(src: np.ndarray, dst: np.ndarray,
 def _edge_arrays(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The bit rows' directed edges as (src, dst) index arrays, row-major,
     unpacked _BLOCK rows at a time so no len(rows) x n array is held."""
-    blocks = [np.nonzero(_bit_matrix(rows[i:i + _BLOCK], n))
+    blocks = [np.divmod(np.flatnonzero(_bit_matrix(rows[i:i + _BLOCK], n)), n)
               for i in range(0, len(rows), _BLOCK)]
     return (np.concatenate([s + i * _BLOCK for i, (s, _) in enumerate(blocks)]),
             np.concatenate([d for _, d in blocks]))

@@ -3,7 +3,9 @@
 import random
 import re
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from spectralminors import (
@@ -35,6 +37,7 @@ from spectralminors.graph import (
     _bit_matrix,
     _components,
     _matrix_rows,
+    _transpose_packed,
 )
 from spectralminors.search import enumerate_graphs
 
@@ -171,17 +174,21 @@ def _flip_arcs(rng, rows, k):
 
 def test_symmetry_paths_agree():
     # the walk and the dense check accept the same rows and name the same
-    # first pair; Graph reports that pair on either side of DENSE_MAX
+    # first pair; Graph reports that pair on either side of WALK_MAX and of
+    # DENSE_MAX
     rng = random.Random(13)
     cases = [g.rows for n in range(8) for g in enumerate_graphs(n)]
     cases += [_flip_arcs(rng, rows, rng.randint(1, 3)) for rows in cases if len(rows) >= 2]
-    for n in (8, 9, 63, 64, 65, 300):
+    for n in (8, 9, 63, 64, 65, 255, 256, 257, 300, 513):
         g = random_graph(rng, n, rng.random())
         cases += [g.rows] + [_flip_arcs(rng, g.rows, rng.randint(1, 3)) for _ in range(20)]
     rejected = 0
     for rows in cases:
         want = _asymmetry_walk(rows)
         assert _asymmetry_dense(rows, len(rows)) == want, rows
+        if want is not None:
+            with pytest.raises(ValueError, match=re.escape(f"asymmetric adjacency at {want}")):
+                Graph(len(rows), rows)
         rejected += want is not None
     assert min(rejected, len(cases) - rejected) > 1000
     for n in (DENSE_MAX, DENSE_MAX + 1):
@@ -198,13 +205,37 @@ def test_symmetry_paths_agree():
 
 def test_large_sparse_graphs_walk_their_bits():
     # above DENSE_MAX the check and relabel walk the set bits: about 0.5-0.8 s
-    # for both graphs on a 2-core machine, against about 4.6 s and 400 MB
-    # with DENSE_MAX raised past 20000
+    # for both graphs on a 2-core machine; the packed check would hold 48 MiB
+    # per graph and relabel would unpack 256 x 20000 rows at a time
     start = time.perf_counter()
     for g in (path(20000), complete_bipartite(1, 20000)):
         assert Graph(g.n, g.rows) == g
         assert g.relabel(range(g.n - 1, -1, -1)).edge_count == g.edge_count
     assert time.perf_counter() - start < 2.5
+
+
+def test_dense_graphs_past_4096_take_the_packed_path():
+    # complete(5000) is checked and relabelled on its packed matrix: about
+    # 0.1 s on a 2-core machine, where walking its 25 million set bits took
+    # about 19 s
+    assert 5000 <= DENSE_MAX
+    start = time.perf_counter()
+    g = complete(5000)
+    r = g.relabel(range(g.n - 1, -1, -1))
+    assert r == g and r.edge_count == 5000 * 4999 // 2
+    assert time.perf_counter() - start < 2.5
+
+
+def test_transpose_packed_matches_unpacked_transpose():
+    # shapes cut through a byte, a word block of 8 rows, and a 256-row slab
+    rng = np.random.default_rng(8)
+    for k, m in [(1, 1), (3, 5), (7, 8), (8, 8), (9, 17), (63, 65), (256, 256), (257, 300)]:
+        bits = (rng.random((k, m)) < 0.5).astype(np.uint8)
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        got = _transpose_packed(packed)
+        assert got.shape == (8 * packed.shape[1], (k + 7) // 8)
+        assert np.array_equal(got[:m], np.packbits(bits.T, axis=1, bitorder="little"))
+        assert not got[m:].any()
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +298,30 @@ def test_graph6_roundtrip_random():
 
 
 def test_graph6_roundtrip_near_dense_max():
-    # parse_graph6 mirrors its triangle one 256 x 256 tile at a time; these
-    # orders end on a partial tile, a whole one, and one past DENSE_MAX
+    # the codec works 256 rows at a time and parse mirrors each slab into the
+    # packed rows: 255, 256, 257 and 513 end the last slab partial, whole and
+    # one row past; 4000 and 4097 end it partial on and off a byte boundary;
+    # DENSE_MAX + 1 is the first order whose Graph walks its bits
     rng = random.Random(4097)
-    for n in (4000, 4095, 4096, 4097):
+    for n in (255, 256, 257, 513, 4000, 4097, DENSE_MAX + 1):
         edges = [(0, n - 1), (n - 2, n - 1), *(rng.sample(range(n), 2) for _ in range(3 * n))]
         g = Graph.from_edges(n, edges)
         assert parse_graph6(encode_graph6(g)) == g
+
+
+def test_graph6_roundtrip_holds_no_square_array():
+    # tracemalloc counts numpy buffers: the 6000 x 6000 uint8 matrix alone
+    # would take 34 MiB, and the round trip peaked near 100 MiB with it
+    g = path(6000)
+    tracemalloc.start()
+    try:
+        text = encode_graph6(g)
+        back = parse_graph6(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back == g
+    assert peak < 24 * 2 ** 20, peak
 
 
 def test_graph6_matches_networkx():

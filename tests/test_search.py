@@ -5,7 +5,6 @@ import csv
 import dataclasses
 import hashlib
 import io
-import math
 import os
 import random
 import subprocess
@@ -16,15 +15,12 @@ import pytest
 
 from spectralminors import (
     FamilySpec,
-    MembershipReport,
-    SearchReport,
     are_isomorphic,
     canonical_key,
     complete,
     complete_bipartite,
     construct_kst_extremal,
     cycle,
-    disjoint_union,
     encode_graph6,
     enumerate_graphs,
     family_filter,
@@ -39,14 +35,13 @@ from spectralminors import (
     report_to_json,
     reports_to_csv,
     scan_family,
-    spectral_radius,
     verify_membership,
 )
 from spectralminors import canon, families, search
 from spectralminors.search import MATCH_TOL, _pool_size
 
 import helpers
-from helpers import automorphisms, random_graph, reference_atlas, relabeled
+from helpers import automorphisms, reference_atlas, relabeled
 
 
 # ---------------------------------------------------------------------------
