@@ -14,13 +14,14 @@ clear. Symmetry and relabel take one of two paths, selected by n alone,
 because the first costs O(n^2) bit operations whatever the edge count:
 
 - n <= DENSE_MAX: numpy on the packed adjacency, the rows' bytes as an
-  n x ceil(n/8) matrix of at most 16 MiB. Symmetry compares each 256-row
-  slab with the same rows of the transpose, which is computed on the packed
-  bytes 8 x 8 bits at a time; relabel moves the rows as ints and the
-  columns by a take on 256 unpacked rows at a time. A sparse graph near the
-  bound is checked slower than by the walk (path(11584): 65 ms against
-  17 ms), a dense one far faster (complete(5000) is built and relabelled in
-  about 0.1 s, where the walk took about 19 s).
+  n x ceil(n/8) matrix of at most 16 MiB, whose transpose is read one
+  _BLOCK-row slab at a time, computed on the packed bytes 8 x 8 bits at a
+  time. Symmetry compares each slab with the same rows of the matrix;
+  relabel packs the rows in their new order, PA, whose transpose A P^T
+  holds each row with its columns moved. A sparse graph near the bound is
+  checked slower than by the walk (path(11584): 65 ms against 17 ms), a
+  dense one far faster (complete(5000) is built and relabelled in about
+  0.1 s, where the walk took about 19 s).
   Orders up to WALK_MAX are walked all the same: so few bits cost less than
   the numpy calls.
 - n > DENSE_MAX: a Python walk over the set bits of the rows, O(E) steps of
@@ -30,7 +31,8 @@ because the first costs O(n^2) bit operations whatever the edge count:
   7.8 GiB.
 
 The graph6 codec also works _BLOCK rows at a time on the packed rows, so no
-function here builds an n x n array.
+function here builds an n x n array. _BLOCK is a multiple of 24, so every
+slab starts on a byte of the packed rows and on a graph6 character.
 
 Timings are from a shared 2-core x86-64 machine.
 """
@@ -51,9 +53,11 @@ DENSE_MAX = 11584
 # n(n-1) = 240 set bits cost less as Python steps than the packed check's
 # fixed numpy overhead.
 WALK_MAX = 16
-# Rows per slab on the packed path: a 256 x 256 tile unpacked takes 64 KiB,
-# and 256 unpacked rows take 2.8 MiB at n = 11584.
-_BLOCK = 256
+# Rows per slab on the packed path, a multiple of 24: of 8, so a slab starts
+# on a byte of the packed rows, and of 12, so the a(a-1)/2 triangle bits
+# before its first row a fill whole graph6 characters. 264 unpacked rows take
+# 2.9 MiB at n = 11584.
+_BLOCK = 264
 
 _G6_HEADER = ">>graph6<<"
 
@@ -109,10 +113,8 @@ def _asymmetry_dense(rows, n: int) -> tuple[int, int] | None:
     at a time against the same slab of its transpose: the first byte, in
     row-major order, with a bit whose mirror bit is clear names the pair."""
     packed = _packed(rows, n)
-    for i in range(0, n, _BLOCK):
-        b = min(i + _BLOCK, n)
-        mirror = _transpose_packed(packed[:, i // 8:(b + 7) // 8])[:b - i]
-        lone = packed[i:b] & ~mirror
+    for i, mirror in zip(range(0, n, _BLOCK), _transposed(packed, n)):
+        lone = packed[i:i + _BLOCK] & ~mirror
         bad = np.flatnonzero(lone)
         if bad.size:
             u, byte = divmod(int(bad[0]), packed.shape[1])
@@ -128,6 +130,7 @@ class Graph:
     rows: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(self.rows))  # hashable, list or not
         check_order(self.n)
         if len(self.rows) != self.n:
             raise ValueError("adjacency row count does not match n")
@@ -218,19 +221,18 @@ class Graph:
         return Graph(len(keep), tuple(rows))
 
     def relabel(self, perm) -> "Graph":
-        """Image under the permutation perm, perm[v] = new label of v. A perm
-        that is not a permutation of range(n) raises ValueError."""
+        """Image under the permutation perm, perm[v] = new label of v, read
+        once from any iterable. A perm that is not a permutation of range(n)
+        raises ValueError."""
+        perm = list(perm)
         if sorted(perm) != list(range(self.n)):
             raise ValueError(f"relabel needs a permutation of range({self.n})")
-        if self.n <= DENSE_MAX:
-            inv = np.argsort(perm)  # new vertex a is old vertex inv[a]
-            old = [self.rows[v] for v in inv]
-            # the rows move as ints; the columns move by a take on a few
-            # unpacked rows at a time, so no n x n matrix is held here
-            rows = []
-            for i in range(0, self.n, _BLOCK):
-                rows += _matrix_rows(_bit_matrix(old[i:i + _BLOCK], self.n).take(inv, axis=1))
-            return Graph(self.n, tuple(rows))
+        if WALK_MAX < self.n <= DENSE_MAX:
+            inv = sorted(range(self.n), key=perm.__getitem__)  # new vertex a is old inv[a]
+            # the transpose of the moved rows holds each row with its columns moved
+            moved = _transposed(_packed([self.rows[v] for v in inv], self.n), self.n)
+            cols = [r for slab in moved for r in _packed_rows(slab)]
+            return Graph(self.n, tuple([cols[v] for v in inv]))
         rows = [0] * self.n
         for v in range(self.n):
             for u in _bits(self.rows[v]):
@@ -265,21 +267,18 @@ def _pack(adj: np.ndarray) -> np.ndarray:
     return np.packbits(adj, axis=1, bitorder="little")
 
 
-def _bit_matrix(rows, n: int) -> np.ndarray:
-    """The bitmask rows as a len(rows) x n uint8 0/1 array: entry [u, v] is
-    bit v of rows[u]."""
-    return _unpack(_packed(rows, n), n)
+def _edge_arrays(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bit rows' directed edges as (src, dst) index arrays, row-major,
+    unpacked _BLOCK rows at a time so no len(rows) x n array is held."""
+    blocks = [np.divmod(np.flatnonzero(_unpack(_packed(rows[i:i + _BLOCK], n), n)), n)
+              for i in range(0, len(rows), _BLOCK)]
+    return (np.concatenate([s + i * _BLOCK for i, (s, _) in enumerate(blocks)]),
+            np.concatenate([d for _, d in blocks]))
 
 
 def _packed_rows(packed: np.ndarray) -> tuple[int, ...]:
     """Inverse of _packed: each row of bytes as a bitmask int."""
     return tuple(int.from_bytes(row, "little") for row in packed)
-
-
-def _matrix_rows(adj: np.ndarray) -> tuple[int, ...]:
-    """Inverse of _bit_matrix: the rows of a 0/1 uint8 array as bitmask ints,
-    bit v of row u set iff adj[u, v] is 1."""
-    return _packed_rows(_pack(adj))
 
 
 # (shift, mask) steps that transpose the 8 x 8 bit matrix held in a word with
@@ -308,6 +307,13 @@ def _transpose_packed(packed: np.ndarray) -> np.ndarray:
     return x.T.copy().view(np.uint8).reshape(w, r, 8).transpose(0, 2, 1).reshape(8 * w, r)
 
 
+def _transposed(packed: np.ndarray, n: int):
+    """The transpose of an n-column packed bit matrix, _BLOCK rows at a time."""
+    for i in range(0, n, _BLOCK):
+        b = min(i + _BLOCK, n)
+        yield _transpose_packed(packed[:, i // 8:(b + 7) // 8])[:b - i]
+
+
 def _slab_triangle(a: int, b: int) -> np.ndarray:
     """Mask of the strict lower triangle on rows a..b-1 and columns 0..b-1.
     graph6 lists the upper triangle column by column; column j is the low j
@@ -326,11 +332,11 @@ def parse_graph6(text) -> Graph:
 
     The characters are range-checked as ASCII codes in one pass. The rows are
     then built _BLOCK at a time into the packed n x ceil(n/8) byte matrix:
-    only the characters that cover the block's triangle rows are decoded,
-    into a slab of those rows over the columns left of the block's end; its
-    diagonal tile is mirrored, the slab is packed into its own rows, and its
-    left part, transposed, into the column bytes of the earlier rows. No
-    n x n array is built.
+    only the characters that cover the block's triangle rows, which start on
+    a character, are decoded into a slab of those rows over the columns left
+    of the block's end; its diagonal tile is mirrored, the slab is packed
+    into its own rows, and its left part, transposed, into the column bytes
+    of the earlier rows. No n x n array is built.
     """
     if isinstance(text, bytes):
         try:
@@ -375,7 +381,7 @@ def parse_graph6(text) -> Graph:
         chars = (body[lo // 6:(hi + 5) // 6] - 63) << 2
         bits = np.unpackbits(chars).reshape(-1, 8)[:, :6].ravel()
         slab = np.zeros((b - a, b), np.uint8)
-        slab[_slab_triangle(a, b)] = bits[lo % 6:lo % 6 + hi - lo]
+        slab[_slab_triangle(a, b)] = bits[:hi - lo]
         slab[:, a:] |= slab[:, a:].T
         low = _pack(slab)
         packed[a:b, :low.shape[1]] = low
@@ -389,25 +395,22 @@ def parse_graph6(text) -> Graph:
 def encode_graph6(g: Graph) -> str:
     """Encode a Graph as a graph6 string (no header, no newline). The rows
     are unpacked _BLOCK at a time, cut to the columns left of the block's
-    end; their triangle bits go out six to a character, and the bits short
-    of a character carry over to the next block."""
+    end, and their triangle bits go out six to a character. Every block but
+    the last ends on a character, since _BLOCK is a multiple of 24; the last
+    is padded with zero bits."""
     n = g.n
     if n <= 62:
         head = [n + 63]
     else:
         head = [126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
     body = [bytes(head)]
-    carry = np.zeros(0, np.uint8)
     for a in range(0, n, _BLOCK):
         b = min(a + _BLOCK, n)
         slab = _unpack(_packed(g.rows[a:b], n)[:, :(b + 7) // 8], b)
-        bits = np.concatenate([carry, slab[_slab_triangle(a, b)]])
-        if b == n:
-            bits = np.concatenate([bits, np.zeros(-len(bits) % 6, np.uint8)])
-        cut = len(bits) - len(bits) % 6
-        six = np.packbits(bits[:cut].reshape(-1, 6), axis=1)[:, 0] >> 2
+        bits = slab[_slab_triangle(a, b)]
+        bits = np.concatenate([bits, np.zeros(-len(bits) % 6, np.uint8)])
+        six = np.packbits(bits.reshape(-1, 6), axis=1)[:, 0] >> 2
         body.append((six + 63).tobytes())
-        carry = bits[cut:]
     return b"".join(body).decode("ascii")
 
 

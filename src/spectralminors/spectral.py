@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import _BLOCK, Graph, _bit_matrix, _bits, join
+from .graph import Graph, _bits, _edge_arrays, join
 
 ITERATION_CAP = 10 ** 6
 TOL = 1e-12
@@ -106,15 +106,6 @@ def _component_power(src: np.ndarray, dst: np.ndarray,
         f"power iteration on a {k}-vertex component did not converge in "
         f"{ITERATION_CAP} iterations: last lambda {lam!r}, residual {resid!r} "
         f"> tol*max(1, lambda) = {tol * max(1.0, lam)!r}")
-
-
-def _edge_arrays(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The bit rows' directed edges as (src, dst) index arrays, row-major,
-    unpacked _BLOCK rows at a time so no len(rows) x n array is held."""
-    blocks = [np.divmod(np.flatnonzero(_bit_matrix(rows[i:i + _BLOCK], n)), n)
-              for i in range(0, len(rows), _BLOCK)]
-    return (np.concatenate([s + i * _BLOCK for i, (s, _) in enumerate(blocks)]),
-            np.concatenate([d for _, d in blocks]))
 
 
 def spectral_radius(g: Graph) -> EigenResult:

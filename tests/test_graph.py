@@ -11,6 +11,7 @@ import pytest
 from spectralminors import (
     MAX_VERTICES,
     Graph,
+    canonical_key,
     complete,
     complete_bipartite,
     construct_cdv_extremal,
@@ -20,6 +21,7 @@ from spectralminors import (
     delete_vertex,
     disjoint_union,
     encode_graph6,
+    has_minor,
     independent,
     is_bipartite,
     is_path_union,
@@ -31,13 +33,17 @@ from spectralminors import (
     recognize_residual,
 )
 from spectralminors.graph import (
+    _BLOCK,
     DENSE_MAX,
+    WALK_MAX,
     _asymmetry_dense,
     _asymmetry_walk,
-    _bit_matrix,
     _components,
-    _matrix_rows,
+    _pack,
+    _packed,
+    _packed_rows,
     _transpose_packed,
+    _unpack,
 )
 from spectralminors.search import enumerate_graphs
 
@@ -92,6 +98,17 @@ def test_constructor_rejects_bad_input():
     assert Graph.empty(MAX_VERTICES).n == MAX_VERTICES
 
 
+def test_rows_given_as_a_list_are_stored_as_a_tuple():
+    # a graph built from a list of rows equals and hashes like its tuple
+    # twin, so the caches keyed on graphs take it
+    assert Graph(3, [6, 5, 3]) == Graph(3, (6, 5, 3))
+    k5 = Graph(5, list(complete(5).rows))
+    assert isinstance(k5.rows, tuple)
+    assert k5 == complete(5) and hash(k5) == hash(complete(5))
+    assert canonical_key(k5) == canonical_key(complete(5))
+    assert has_minor(k5, petersen()) is not None
+
+
 def test_components_and_connectivity():
     g = disjoint_union(complete(3), path(2), independent(1))
     assert g.components() == [(0, 1, 2), (3, 4), (5,)]
@@ -137,9 +154,11 @@ def test_induced_subgraph_and_relabel():
             path(3).relabel(bad)
 
 
-# orders around the byte and word boundaries of the packed rows, the sizes of
-# the large constructions, and both sides of the dense bound
-RELABEL_ORDERS = (0, 1, 7, 8, 9, 63, 64, 65, 300, 2005, DENSE_MAX, DENSE_MAX + 1)
+# orders around the byte and word boundaries of the packed rows, both sides of
+# the walk bound, the slab edges, the sizes of the large constructions, and
+# both sides of the dense bound
+RELABEL_ORDERS = (0, 1, 7, 8, 9, WALK_MAX, WALK_MAX + 1, 63, 64, 65, _BLOCK - 1, _BLOCK,
+                  _BLOCK + 1, 300, 2 * _BLOCK + 1, 3 * _BLOCK, 2005, DENSE_MAX, DENSE_MAX + 1)
 
 
 def _seeded_graph(rng, n):
@@ -160,7 +179,15 @@ def test_relabel_matches_per_edge_reference():
             for v, p in enumerate(perm):
                 inv[p] = v
             assert r.relabel(inv) == g
-            assert _matrix_rows(_bit_matrix(g.rows, n)) == g.rows
+            assert _packed_rows(_pack(_unpack(_packed(g.rows, n), n))) == g.rows
+
+
+def test_relabel_reads_its_permutation_once():
+    # a generator perm is read once, on the walk, on the packed path and past
+    # the dense bound
+    for g in (complete(4), path(WALK_MAX + 1), path(DENSE_MAX + 1)):
+        perm = [(v + 1) % g.n for v in range(g.n)]
+        assert g.relabel(v for v in perm) == g.relabel(perm) == relabel_by_edges(g, perm)
 
 
 def _flip_arcs(rng, rows, k):
@@ -179,7 +206,7 @@ def test_symmetry_paths_agree():
     rng = random.Random(13)
     cases = [g.rows for n in range(8) for g in enumerate_graphs(n)]
     cases += [_flip_arcs(rng, rows, rng.randint(1, 3)) for rows in cases if len(rows) >= 2]
-    for n in (8, 9, 63, 64, 65, 255, 256, 257, 300, 513):
+    for n in (8, 9, 63, 64, 65, _BLOCK - 1, _BLOCK, _BLOCK + 1, 300, 2 * _BLOCK + 1):
         g = random_graph(rng, n, rng.random())
         cases += [g.rows] + [_flip_arcs(rng, g.rows, rng.randint(1, 3)) for _ in range(20)]
     rejected = 0
@@ -206,7 +233,7 @@ def test_symmetry_paths_agree():
 def test_large_sparse_graphs_walk_their_bits():
     # above DENSE_MAX the check and relabel walk the set bits: about 0.5-0.8 s
     # for both graphs on a 2-core machine; the packed check would hold 48 MiB
-    # per graph and relabel would unpack 256 x 20000 rows at a time
+    # per graph, as would relabel
     start = time.perf_counter()
     for g in (path(20000), complete_bipartite(1, 20000)):
         assert Graph(g.n, g.rows) == g
@@ -227,9 +254,10 @@ def test_dense_graphs_past_4096_take_the_packed_path():
 
 
 def test_transpose_packed_matches_unpacked_transpose():
-    # shapes cut through a byte, a word block of 8 rows, and a 256-row slab
+    # shapes cut through a byte, a word block of 8 rows, and a _BLOCK-row slab
     rng = np.random.default_rng(8)
-    for k, m in [(1, 1), (3, 5), (7, 8), (8, 8), (9, 17), (63, 65), (256, 256), (257, 300)]:
+    for k, m in [(1, 1), (3, 5), (7, 8), (8, 8), (9, 17), (63, 65), (_BLOCK, _BLOCK),
+                 (_BLOCK + 1, 300)]:
         bits = (rng.random((k, m)) < 0.5).astype(np.uint8)
         packed = np.packbits(bits, axis=1, bitorder="little")
         got = _transpose_packed(packed)
@@ -297,13 +325,24 @@ def test_graph6_roundtrip_random():
         assert parse_graph6(encode_graph6(g)) == g
 
 
+def test_block_starts_on_a_graph6_character():
+    # the slabs start on a byte of the packed rows, and the a(a-1)/2 triangle
+    # bits before slab start a fill whole 6-bit characters, so the encoder
+    # carries no bits from one slab to the next and parse reads each slab
+    # from a character's first bit
+    assert _BLOCK % 24 == 0
+    assert all(a * (a - 1) // 2 % 6 == 0 for a in range(0, 10 * _BLOCK, _BLOCK))
+
+
 def test_graph6_roundtrip_near_dense_max():
-    # the codec works 256 rows at a time and parse mirrors each slab into the
-    # packed rows: 255, 256, 257 and 513 end the last slab partial, whole and
-    # one row past; 4000 and 4097 end it partial on and off a byte boundary;
+    # the codec works _BLOCK rows at a time and parse mirrors each slab into
+    # the packed rows: _BLOCK - 1, _BLOCK, _BLOCK + 1 and 2 * _BLOCK + 1 end
+    # the last slab partial, whole and one row past, 3 * _BLOCK whole after
+    # three slabs; 4000 and 4097 end it partial on and off a byte boundary;
     # DENSE_MAX + 1 is the first order whose Graph walks its bits
     rng = random.Random(4097)
-    for n in (255, 256, 257, 513, 4000, 4097, DENSE_MAX + 1):
+    for n in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 3 * _BLOCK, 4000, 4097,
+              DENSE_MAX + 1):
         edges = [(0, n - 1), (n - 2, n - 1), *(rng.sample(range(n), 2) for _ in range(3 * n))]
         g = Graph.from_edges(n, edges)
         assert parse_graph6(encode_graph6(g)) == g
@@ -324,6 +363,21 @@ def test_graph6_roundtrip_holds_no_square_array():
     assert peak < 24 * 2 ** 20, peak
 
 
+def test_relabel_holds_no_square_array():
+    # relabel packs the moved rows and reads their transpose a slab at a
+    # time: about 8 MiB at its peak, where the 6000 x 6000 uint8 matrix alone
+    # would take 34 MiB
+    g = path(6000)
+    tracemalloc.start()
+    try:
+        r = g.relabel(range(g.n - 1, -1, -1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r == g
+    assert peak < 16 * 2 ** 20, peak
+
+
 def test_graph6_matches_networkx():
     nx = pytest.importorskip("networkx")
     rng = random.Random(77)
@@ -340,10 +394,12 @@ def test_graph6_matches_networkx():
 
 def test_graph6_matches_networkx_all_orders():
     # n = 0..70 crosses the 62/63 switch to the long-form length; 300 and
-    # 2005 are the sizes of the large extremal constructions
+    # 2005 are the sizes of the large extremal constructions; _BLOCK,
+    # 2 * _BLOCK and 3 * _BLOCK end the first three slabs
     nx = pytest.importorskip("networkx")
     rng = random.Random(2005)
     cases = [(n, p) for n in [*range(71), 300] for p in (rng.random(), rng.random() * 0.05)]
+    cases += [(n, 0.05) for n in (_BLOCK, 2 * _BLOCK, 3 * _BLOCK)]
     for n, p in cases + [(2005, 0.01)]:
         ng = nx.fast_gnp_random_graph(n, p, seed=rng.randrange(1 << 30))
         g = Graph.from_edges(n, ng.edges())

@@ -2,8 +2,8 @@
 module's dependencies show in its header and no deferred import can hide a
 cycle (minors, for one, must not reach up into cdv); and the package imports
 only the standard library, numpy and itself, so test oracles such as
-networkx never become runtime dependencies; and no module reads the
-environment."""
+networkx never become runtime dependencies; no module reads the
+environment; and graph alone owns the packed bit format."""
 
 import ast
 import sys
@@ -68,3 +68,27 @@ def test_package_reads_no_environment():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{line} reads {name}" for name, line in _environment_reads(tree)]
     assert not found, "environment reads: " + ", ".join(found)
+
+
+def _bit_format_uses(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("packbits", "unpackbits", "_BLOCK"):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Name) and node.id == "_BLOCK":
+            yield node.id, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name in ("packbits", "unpackbits", "_BLOCK"):
+                    yield alias.name, node.lineno
+
+
+def test_graph_alone_owns_the_bit_format():
+    # the packed rows, their slab height and the bit order are graph's: other
+    # modules ask it for what they need (spectral for its edge arrays), so a
+    # change of format or slab height stays inside one module
+    found = []
+    for path in sorted(Path(spectralminors.__file__).parent.glob("*.py")):
+        if path.name != "graph.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            found += [f"{path.name}:{line} uses {name}" for name, line in _bit_format_uses(tree)]
+    assert not found, "bit format used outside graph.py: " + ", ".join(found)

@@ -29,7 +29,7 @@ from spectralminors import (
     spectral_radius,
     two_walk_bound,
 )
-from spectralminors import spectral
+from spectralminors import graph, spectral
 from spectralminors.graph import Graph
 
 from helpers import delete_edge, random_graph, rayleigh_delta
@@ -214,20 +214,20 @@ def test_unpack_holds_at_most_a_block_of_rows(monkeypatch):
     # a component is unpacked _BLOCK rows at a time into the same row-major
     # edge arrays as one whole unpack, so the solve is bit for bit the same
     seen = []
-    real = spectral._bit_matrix
+    real = graph._unpack
 
-    def recording(rows, n):
-        seen.append(len(rows))
-        return real(rows, n)
+    def recording(packed, n):
+        seen.append(len(packed))
+        return real(packed, n)
 
-    monkeypatch.setattr(spectral, "_bit_matrix", recording)
+    monkeypatch.setattr(graph, "_unpack", recording)
     for g in (path(300), construct_kst_extremal(601, 3, 4)):
-        assert g.is_connected() and g.n > spectral._BLOCK
+        assert g.is_connected() and g.n > graph._BLOCK
         seen.clear()
         blocked = spectral_radius(g)
-        assert max(seen) <= spectral._BLOCK and sum(seen) == g.n
+        assert max(seen) <= graph._BLOCK and sum(seen) == g.n
         with monkeypatch.context() as m:
-            m.setattr(spectral, "_BLOCK", g.n)
+            m.setattr(graph, "_BLOCK", g.n)
             seen.clear()
             whole = spectral_radius(g)
         assert seen == [g.n]
