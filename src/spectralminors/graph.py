@@ -374,6 +374,9 @@ def parse_graph6(text) -> Graph:
         raise ValueError(f"truncated graph6 edge section: {len(body)} of {need} bytes")
     if len(body) > need:
         raise ValueError(f"trailing data after graph6 edge section")
+    pad = -(n * (n - 1) // 2) % 6
+    if need and int(body[-1] - 63) & ((1 << pad) - 1):
+        raise ValueError("nonzero padding bits in the last graph6 character")
     packed = np.zeros((n, (n + 7) // 8), np.uint8)
     for a in range(0, n, _BLOCK):
         b = min(a + _BLOCK, n)

@@ -1,25 +1,31 @@
-"""Spectral radius and Perron vector by shifted power iteration, plus the
-closed-form eigenvalue bounds used to compare against extremal constructions
-and an integer 2-walk bound that lets scans skip solves.
+"""Spectral radius and Perron vector by power iteration on small components
+and Lanczos steps on large ones, plus the closed-form eigenvalue bounds used
+to compare against extremal constructions and an integer 2-walk bound that
+lets scans skip solves.
 
 Each connected component is solved on its own. Its adjacency is built once
 from the bit rows as sparse index arrays (neighbour lists in row order), and
-the product A x is one gather and one segmented sum, so an iteration costs
-O(edges). The iteration runs on A + (max degree + 1) I so the dominant
-eigenvalue is simple and positive even on bipartite components, starts from
-the all-ones vector (a regular component stops at iteration 1 with residual
-0.0), and stops when the infinity-norm eigen-residual |A x - lam x| is at
-most TOL * max(1, lam), lam being the Rayleigh quotient of x. Once
-STAGNATION_WINDOW iterations in a row set no new least residual, the
-iteration raises ConvergenceError naming the least residual reached.
+the product A x is one gather and one segmented sum, so it costs O(edges).
+Every solve starts from the all-ones vector (a regular component stops at
+the first product with residual 0.0) and stops when the infinity-norm
+eigen-residual |A x - lam x| of a nonnegative x is at most
+TOL * max(1, lam), lam being the Rayleigh quotient of x. Once
+STAGNATION_WINDOW products in a row set no new least residual, the solve
+raises ConvergenceError naming the least residual reached.
 
-Components with a small spectral gap, such as long paths, need Theta(k^2)
-iterations. A k-vertex component that has not stopped after k iterations,
-with k <= DENSE_SEED_MAX, takes one dense eigh of its adjacency (counted as
-one iteration); the absolute value of the top eigenvector, scaled to maximum
-1, seeds the iteration, which then stops through the same residual check.
-Longer slow components, paths on more than DENSE_SEED_MAX vertices among
-them, keep the Theta(k^2) iteration count and can reach ITERATION_CAP.
+A component of k <= DENSE_SEED_MAX vertices runs the power iteration on
+A + (max degree + 1) I, whose dominant eigenvalue is simple and positive even
+on bipartite components. If it has not stopped after k products, one dense
+eigh of its adjacency (counted as one iteration) gives the top eigenvector,
+whose absolute value, scaled to maximum 1, seeds the iteration; that solve
+then stops through the same residual check.
+
+A larger component takes Lanczos steps on the sparse product from the
+current vector, with full reorthogonalisation, and a basis of at most
+BASIS_BYTES. The absolute value of the top Ritz vector, scaled to maximum 1,
+passes through the residual check; if it fails, the Lanczos steps restart
+from it. Joins of a clique with a sparse graph stop within ten products, and
+a k-vertex path within k / 2 + 2.
 
 On a disconnected graph the component of largest spectral radius wins (ties
 to the lowest-indexed component); the returned vector is zero off the
@@ -38,23 +44,26 @@ from .graph import Graph, _bits, _edge_arrays, join
 
 ITERATION_CAP = 10 ** 6
 TOL = 1e-12
-# Largest component given the dense eigh seed: its k x k float64 matrix takes
-# 32 MiB at k = 2048, and k sparse products cost about one eigh.
-DENSE_SEED_MAX = 2048
-# Iterations without a new least residual after which the iteration gives up.
-# Converging runs set a new least residual every iteration or two, long paths
-# included; a run stuck at the rounding floor sets none.
+# Largest component solved by the power iteration with its dense eigh seed;
+# larger components take Lanczos steps.
+DENSE_SEED_MAX = 64
+# Most bytes the Lanczos basis holds, the old dense seed's 2048 x 2048 matrix.
+BASIS_BYTES = 32 << 20
+# Products without a new least residual after which the solve gives up.
+# Converging runs set a new least residual at every certificate; a run stuck
+# at the rounding floor sets none.
 STAGNATION_WINDOW = 1000
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when the power iteration fails to reach tolerance in time."""
+    """Raised when a solve fails to reach tolerance in time."""
 
 
 @dataclass(frozen=True)
 class EigenResult:
     """Spectral radius lam, Perron vector (max entry 1, zero off the winning
-    component), final infinity-norm residual, iteration count, and the index
+    component), final infinity-norm residual, the number of sparse products
+    (plus one per dense seed) taken on the winning component, and the index
     of a vertex whose entry equals 1."""
 
     lam: float
@@ -72,22 +81,117 @@ def _dense_seed(src: np.ndarray, dst: np.ndarray, k: int) -> np.ndarray:
     return top / top.max()
 
 
+def _top_eigenpair(alpha: np.ndarray, beta: np.ndarray) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue of the symmetric tridiagonal matrix T with diagonal
+    alpha and positive off-diagonal beta, as the least float found above
+    every eigenvalue, and its unit eigenvector.
+
+    Bisection on Sturm counts finds the eigenvalue: x lies above every
+    eigenvalue when every pivot of the LDL^T factors of T - x I is negative.
+    Two steps of inverse iteration with the positive definite x I - T, from
+    the all-ones vector, give the eigenvector, which is positive. Both are
+    loops over Python floats: LAPACK's eigh cost O(m^3) and O(m^2) memory, and
+    stalled for a tenth of a second on OpenBLAS threads on a busy machine."""
+    a = alpha.tolist()
+    b = beta.tolist()
+    b2 = [v * v for v in b]
+
+    def above(x: float) -> bool:
+        d = a[0] - x
+        for ai, bb in zip(a[1:], b2):
+            if d >= 0.0:
+                return False
+            d = ai - x - bb / d
+        return d < 0.0
+
+    # the largest diagonal entry is a Rayleigh quotient of T; Gershgorin's
+    # bound, plus 1, lies strictly above every eigenvalue
+    lo = max(a)
+    hi = max(ai + bl + br for ai, bl, br in zip(a, [0.0] + b, b + [0.0])) + 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    # the pivots of hi I - T = L D L^T, all positive
+    e = [hi - a[0]]
+    for ai, bb in zip(a[1:], b2):
+        e.append(hi - ai - bb / e[-1])
+    z = [1.0] * len(a)
+    for _ in range(2):
+        for i in range(1, len(z)):
+            z[i] += b[i - 1] / e[i - 1] * z[i - 1]
+        z[-1] /= e[-1]
+        for i in range(len(z) - 2, -1, -1):
+            z[i] = (z[i] + b[i] * z[i + 1]) / e[i]
+        norm = math.sqrt(math.fsum(v * v for v in z))
+        z = [v / norm for v in z]
+    return hi, np.array(z)
+
+
+def _lanczos(product, x: np.ndarray, ax: np.ndarray,
+             steps: int) -> tuple[np.ndarray, int]:
+    """Lanczos steps from x, whose product ax is known, with full
+    reorthogonalisation, at most `steps` of them and at most BASIS_BYTES of
+    basis. Returns the absolute value of the top Ritz vector scaled to maximum
+    1, and the number of products taken.
+
+    The unit Ritz vector y of the top Ritz value theta has residual
+    |A y - theta y| = beta_j |s_j|. It is read at steps 1, 2, 4, 8, ...; the
+    run stops once it is at most TOL * max(1, theta) * max|y|, which bounds
+    the infinity-norm residual of y / max|y|, or once the basis is full or
+    spans an invariant subspace."""
+    k = len(x)
+    steps = min(steps, k, BASIS_BYTES // (8 * k))
+    basis = np.empty((steps, k))
+    alpha = np.empty(steps)
+    beta = np.empty(steps)
+    # the sums go through einsum, not BLAS: OpenBLAS threads stall products
+    # this size on a busy machine
+    norm = math.sqrt(np.einsum("i,i", x, x))
+    q, w = x / norm, ax / norm
+    for j in range(steps):
+        if j:
+            w = product(q)
+        basis[j] = q
+        done = basis[:j + 1]
+        scale = math.sqrt(np.einsum("i,i", w, w))
+        alpha[j] = np.einsum("i,i", q, w)
+        w -= alpha[j] * q
+        if j:
+            w -= beta[j - 1] * basis[j - 1]
+        # the three-term recurrence, then one pass against the whole basis
+        w -= np.einsum("i,ij", np.einsum("ij,j", done, w), done)
+        beta[j] = math.sqrt(np.einsum("i,i", w, w))
+        # below TOL * |A q| the Krylov space is invariant and w is rounding noise
+        final = j + 1 == steps or beta[j] <= TOL * scale
+        if final or not j & (j + 1):
+            theta, s = _top_eigenpair(alpha[:j + 1], beta[:j])
+            y = np.abs(np.einsum("i,ij", s, done))
+            if final or beta[j] * s[-1] <= TOL * max(1.0, theta) * y.max():
+                break
+        q = w / beta[j]
+    return y / y.max(), j
+
+
 def _component_power(src: np.ndarray, dst: np.ndarray,
                      k: int) -> tuple[float, np.ndarray, float, int]:
-    """Power iteration on one connected k-vertex component whose directed
-    edge list (src ascending, every vertex a source when k > 1) is src -> dst."""
+    """Solve one connected k-vertex component whose directed edge list (src
+    ascending, every vertex a source when k > 1) is src -> dst."""
     if k == 1:
         return 0.0, np.ones(1), 0.0, 0
     tol = TOL
     starts = np.flatnonzero(np.diff(src, prepend=-1))
     shift = float(np.diff(starts, append=len(src)).max()) + 1.0
+
+    def product(v: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(v[dst], starts)
+
     x = np.ones(k)
+    ax = product(x)
+    it = 1
     least, least_it = math.inf, 0
-    for it in range(1, ITERATION_CAP + 1):
-        if it == k + 1 and k <= DENSE_SEED_MAX:
-            x = _dense_seed(src, dst, k)
-            continue
-        ax = np.add.reduceat(x[dst], starts)
+    while True:
         lam = float(x @ ax) / float(x @ x)
         resid = float(np.abs(ax - lam * x).max())
         if resid <= tol * max(1.0, lam):
@@ -100,12 +204,22 @@ def _component_power(src: np.ndarray, dst: np.ndarray,
                 f"below the least, {least!r} at iteration {least_it}, in the "
                 f"{STAGNATION_WINDOW} iterations since; last lambda {lam!r}, "
                 f"tol*max(1, lambda) = {tol * max(1.0, lam)!r}")
-        y = ax + shift * x
-        x = y / y.max()
-    raise ConvergenceError(
-        f"power iteration on a {k}-vertex component did not converge in "
-        f"{ITERATION_CAP} iterations: last lambda {lam!r}, residual {resid!r} "
-        f"> tol*max(1, lambda) = {tol * max(1.0, lam)!r}")
+        if it >= ITERATION_CAP:
+            raise ConvergenceError(
+                f"power iteration on a {k}-vertex component did not converge in "
+                f"{ITERATION_CAP} iterations: last lambda {lam!r}, residual {resid!r} "
+                f"> tol*max(1, lambda) = {tol * max(1.0, lam)!r}")
+        if k > DENSE_SEED_MAX:
+            x, used = _lanczos(product, x, ax, ITERATION_CAP - it)
+            it += used
+        elif it == k:
+            x = _dense_seed(src, dst, k)
+            it += 1
+        else:
+            y = ax + shift * x
+            x = y / y.max()
+        ax = product(x)
+        it += 1
 
 
 def spectral_radius(g: Graph) -> EigenResult:

@@ -427,6 +427,14 @@ def test_graph6_malformed_messages():
         parse_graph6(">>graph6<<\n")
     with pytest.raises(ValueError, match="truncated graph6 edge section: 0 of 369 bytes"):
         parse_graph6("~?@B")
+    # graph6 pads the last character with zero bits: "A_" is K2, "A`" no graph
+    for g in (complete(2), path(66)):  # 5 and 3 padding bits
+        text = encode_graph6(g)
+        assert parse_graph6(text) == g
+        with pytest.raises(ValueError, match="nonzero padding bits"):
+            parse_graph6(text[:-1] + chr(ord(text[-1]) + 1))
+    with pytest.raises(ValueError, match="nonzero padding bits"):
+        parse_graph6("A`")
 
 
 # ---------------------------------------------------------------------------

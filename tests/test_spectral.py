@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,16 +148,16 @@ def test_small_components_keep_their_bits():
 
 
 def test_unreachable_tolerance_stagnates_fast(monkeypatch):
-    # 2.3e-16 is above the machine epsilon but below what rounding allows at
-    # lambda ~ 44.6: the least residual stops falling at iteration 130, and
-    # the solve gives up STAGNATION_WINDOW iterations later, long before
-    # ITERATION_CAP
-    monkeypatch.setattr(spectral, "TOL", 2.3e-16)
+    # 1e-16 * lambda ~ 4.5e-15 is below what rounding allows at lambda ~ 44.6:
+    # the least residual, 7.1e-15, is reached at the first Lanczos
+    # certificate, product 5, and the solve gives up STAGNATION_WINDOW
+    # products later, long before ITERATION_CAP
+    monkeypatch.setattr(spectral, "TOL", 1e-16)
     with pytest.raises(ConvergenceError, match=r"300-vertex component stagnated: "
                        r"no residual below the least, \S+ at iteration \d+, in the 1000") as exc:
         spectral_radius(construct_kr_extremal(300, 8))
     least_it = int(re.search(r"at iteration (\d+)", str(exc.value))[1])
-    assert least_it + spectral.STAGNATION_WINDOW == 130 + 1000 < spectral.ITERATION_CAP
+    assert least_it + spectral.STAGNATION_WINDOW == 5 + 1000 < spectral.ITERATION_CAP
 
 
 def assert_relative_residual(res):
@@ -178,6 +179,85 @@ def test_large_join_closed_form():
     expected = quotient_bound(QuotientMatrix(37, 0, 38, 1962))
     assert res.lam == pytest.approx(expected, rel=1e-12, abs=0.0)
     assert_relative_residual(res)
+
+
+def test_path_past_the_old_dense_seed():
+    # P2100 took about 1.2 k^2 power iterations and stagnated; from the
+    # all-ones vector its Krylov space is the 1050 mirror-symmetric
+    # dimensions, which the Lanczos steps exhaust
+    res = spectral_radius(path(2100))
+    assert res.lam == pytest.approx(2.0 * math.cos(math.pi / 2101), rel=1e-12, abs=0.0)
+    assert_relative_residual(res)
+    assert res.iterations <= 2100 // 2 + 2
+
+
+@pytest.mark.parametrize("leaves", [5000, 20000])
+def test_star_solves_in_a_few_products(leaves):
+    # lambda = sqrt(leaves) sits far below the power iteration's shift,
+    # leaves + 1, which took 2 * sqrt(leaves) + 2 iterations
+    res = spectral_radius(complete_bipartite(1, leaves))
+    assert res.lam == pytest.approx(math.sqrt(leaves), rel=1e-12, abs=0.0)
+    assert_relative_residual(res)
+    assert res.iterations <= 10
+
+
+def test_lanczos_components_match_eigvalsh():
+    rng = random.Random(65)
+    for trial in range(24):
+        k = rng.randint(spectral.DENSE_SEED_MAX + 1, 400)
+        kind = trial % 4
+        if kind == 0:
+            g = random_graph(rng, k, rng.uniform(0.02, 0.3))
+        elif kind == 1:
+            g = Graph.from_edges(k, [(v, rng.randrange(v)) for v in range(1, k)])
+        elif kind == 2:
+            c = rng.randint(1, 6)
+            g = join(complete(c), random_graph(rng, k - c, 2.0 / k))
+        else:
+            # two cliques bridged by a long path: a small spectral gap
+            a = rng.randint(3, 20)
+            g = disjoint_union(complete(a), path(k - 2 * a), complete(a))
+            g = g.with_edge(a - 1, a).with_edge(k - a - 1, k - a)
+        if not g.is_connected():
+            continue
+        res = spectral_radius(g)
+        adj = np.zeros((k, k))
+        for u, v in g.edges():
+            adj[u, v] = adj[v, u] = 1.0
+        top = float(np.linalg.eigvalsh(adj)[-1])
+        assert res.lam == pytest.approx(top, rel=1e-12, abs=0.0)
+        assert_relative_residual(res)
+        assert min(res.vector) >= 0.0 and res.vector[res.max_vertex] == 1.0
+
+
+def test_top_eigenpair_of_a_tridiagonal():
+    rng = np.random.default_rng(3)
+    for m in (1, 2, 3, 10, 80):
+        for scale in (1e-3, 1.0, 300.0):
+            alpha = scale * rng.normal(size=m)
+            beta = scale * rng.uniform(1e-6, 1.0, size=m - 1)
+            t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+            theta, s = spectral._top_eigenpair(alpha, beta)
+            bound = 1e-13 * np.abs(t).sum(axis=1).max()
+            assert abs(theta - np.linalg.eigvalsh(t)[-1]) <= bound
+            assert s.min() > 0.0 and abs(s @ s - 1.0) < 1e-14
+            assert np.abs(t @ s - theta * s).max() <= bound
+
+
+def test_lanczos_basis_stays_under_its_cap(monkeypatch):
+    # P20000 fits 209 basis rows in BASIS_BYTES; with a cap of 300 products
+    # an uncapped basis would take 299 rows, about 46 MiB
+    g = path(20000)
+    monkeypatch.setattr(spectral, "ITERATION_CAP", 300)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConvergenceError, match="did not converge in 300 iterations"):
+            spectral_radius(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spectral.BASIS_BYTES == 32 << 20
+    assert peak < spectral.BASIS_BYTES + (8 << 20)
 
 
 def test_matches_eigvalsh_on_unions():
@@ -213,10 +293,20 @@ def test_matches_eigvalsh_on_unions():
             assert res.iterations >= 1
 
 
-def test_dense_seed_switch_and_ties():
-    # a path stalls and switches to the eigh seed after k iterations
+def test_dense_seed_switch_and_ties(monkeypatch):
+    # a slow component of at most DENSE_SEED_MAX vertices takes the eigh seed
+    # after k products; a longer path takes Lanczos steps, which end within
+    # the k / 2 dimensions of its mirror-symmetric vectors, plus the all-ones
+    # product and the certificate
+    seeds = []
+    real = spectral._dense_seed
+    monkeypatch.setattr(spectral, "_dense_seed",
+                        lambda src, dst, k: seeds.append(k) or real(src, dst, k))
+    res = spectral_radius(path(40))
+    assert seeds == [40] and res.iterations == 40 + 2  # k products, seed, certificate
+    assert_relative_residual(res)
     res = spectral_radius(path(200))
-    assert 200 < res.iterations <= 210
+    assert seeds == [40] and res.iterations <= 200 // 2 + 2
     assert_relative_residual(res)
     # equal components: the first copy wins, bit for bit the same solve
     for part in (path(120), complete_bipartite(2, 7), cycle(9)):
@@ -255,9 +345,11 @@ def test_unpack_holds_at_most_a_block_of_rows(monkeypatch):
 
 def test_convergence_error_names_the_component(monkeypatch):
     monkeypatch.setattr(spectral, "ITERATION_CAP", 5)
-    with pytest.raises(ConvergenceError, match=r"50-vertex component.*last lambda .*"
-                       r"residual .* > tol\*max\(1, lambda\)"):
-        spectral_radius(disjoint_union(complete(3), path(50)))
+    # a power-iterated and a Lanczos-solved component hit the cap alike
+    for k in (50, 100):
+        with pytest.raises(ConvergenceError, match=rf"{k}-vertex component.*last lambda .*"
+                           r"residual .* > tol\*max\(1, lambda\)"):
+            spectral_radius(disjoint_union(complete(3), path(k)))
 
 
 # ---------------------------------------------------------------------------
