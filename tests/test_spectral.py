@@ -1,4 +1,5 @@
-"""Power iteration, Rayleigh quotient deltas, and the closed-form bounds."""
+"""Power iteration and Lanczos solves, Rayleigh quotient deltas, and the
+closed-form bounds."""
 
 import hashlib
 import math
@@ -165,8 +166,8 @@ def assert_relative_residual(res):
 
 
 def test_long_path_closed_form():
-    # P1000 has spectral gap ~1e-5: past 1000 power iterations the solve
-    # finishes from a dense eigh seed
+    # P1000 has spectral gap ~1e-5: the Lanczos steps exhaust its 500
+    # mirror-symmetric dimensions
     res = spectral_radius(path(1000))
     assert res.lam == pytest.approx(2.0 * math.cos(math.pi / 1001), rel=1e-12, abs=0.0)
     assert_relative_residual(res)
@@ -174,17 +175,16 @@ def test_long_path_closed_form():
 
 def test_large_join_closed_form():
     # lambda ~ 292: an absolute 1e-12 residual is below the rounding error of
-    # the product, the relative rule stops in about a hundred iterations
+    # the product, the relative rule stops in a few products
     res = spectral_radius(construct_kr_extremal(2000, 40))
     expected = quotient_bound(QuotientMatrix(37, 0, 38, 1962))
     assert res.lam == pytest.approx(expected, rel=1e-12, abs=0.0)
     assert_relative_residual(res)
 
 
-def test_path_past_the_old_dense_seed():
-    # P2100 took about 1.2 k^2 power iterations and stagnated; from the
-    # all-ones vector its Krylov space is the 1050 mirror-symmetric
-    # dimensions, which the Lanczos steps exhaust
+def test_long_path_past_2048_vertices():
+    # from the all-ones vector the Krylov space of P2100 is its 1050
+    # mirror-symmetric dimensions, which the Lanczos steps exhaust
     res = spectral_radius(path(2100))
     assert res.lam == pytest.approx(2.0 * math.cos(math.pi / 2101), rel=1e-12, abs=0.0)
     assert_relative_residual(res)
@@ -193,8 +193,9 @@ def test_path_past_the_old_dense_seed():
 
 @pytest.mark.parametrize("leaves", [5000, 20000])
 def test_star_solves_in_a_few_products(leaves):
-    # lambda = sqrt(leaves) sits far below the power iteration's shift,
-    # leaves + 1, which took 2 * sqrt(leaves) + 2 iterations
+    # lambda = sqrt(leaves) sits far below max degree + 1, the shift a power
+    # iteration would need; from the all-ones vector the Krylov space of a
+    # star has two dimensions
     res = spectral_radius(complete_bipartite(1, leaves))
     assert res.lam == pytest.approx(math.sqrt(leaves), rel=1e-12, abs=0.0)
     assert_relative_residual(res)
