@@ -24,8 +24,8 @@ A larger component takes Lanczos steps on the sparse product from the
 current vector, with full reorthogonalisation, and a basis of at most
 BASIS_BYTES. The absolute value of the top Ritz vector, scaled to maximum 1,
 passes through the residual check; if it fails, the Lanczos steps restart
-from it. Joins of a clique with a sparse graph stop within ten products, and
-a k-vertex path within k / 2 + 2.
+from it. The paper's extremal joins stop within ten products, and a k-vertex
+path within k / 2 + 2 while k / 2 basis rows fit in BASIS_BYTES.
 
 On a disconnected graph the component of largest spectral radius wins (ties
 to the lowest-indexed component); the returned vector is zero off the
@@ -47,7 +47,7 @@ TOL = 1e-12
 # Largest component solved by the power iteration with its dense eigh seed;
 # larger components take Lanczos steps.
 DENSE_SEED_MAX = 64
-# Most bytes the Lanczos basis holds, the old dense seed's 2048 x 2048 matrix.
+# Most bytes the Lanczos basis holds: 32 MiB, a 2048 x 2048 float64 matrix.
 BASIS_BYTES = 32 << 20
 # Products without a new least residual after which the solve gives up.
 # Converging runs set a new least residual at every certificate; a run stuck
@@ -90,10 +90,9 @@ def _top_eigenpair(alpha: np.ndarray, beta: np.ndarray) -> tuple[float, np.ndarr
     eigenvalue when every pivot of the LDL^T factors of T - x I is negative.
     Two steps of inverse iteration with the positive definite hi I - T, hi
     the eigenvalue found, from the all-ones vector give the eigenvector,
-    which is positive. Both are
-    O(m) loops over Python floats: LAPACK's eigh takes O(m^3) time and O(m^2)
-    memory, and on a shared 2-core machine its OpenBLAS threads stalled a
-    128 x 128 solve for 0.2 s."""
+    which is positive. Both are O(m) loops over Python floats: LAPACK's eigh
+    takes O(m^3) time and O(m^2) memory, and on a shared 2-core machine its
+    OpenBLAS threads stalled a 128 x 128 solve for 0.2 s."""
     a = alpha.tolist()
     b = beta.tolist()
     b2 = [v * v for v in b]
