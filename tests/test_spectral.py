@@ -180,6 +180,7 @@ def test_large_join_closed_form():
     expected = quotient_bound(QuotientMatrix(37, 0, 38, 1962))
     assert res.lam == pytest.approx(expected, rel=1e-12, abs=0.0)
     assert_relative_residual(res)
+    assert res.iterations <= 10
 
 
 def test_long_path_past_2048_vertices():
