@@ -9,12 +9,7 @@ a fixed small order.
 """
 
 from .canon import are_isomorphic, canonical_key
-from .cdv import (
-    MuClass,
-    check_problem1,
-    check_problem2,
-    classify_mu,
-)
+from .cdv import MuClass, classify_mu
 from .families import FamilySpec
 from .graph import (
     MAX_VERTICES,

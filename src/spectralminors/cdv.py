@@ -2,17 +2,15 @@
 characterizations decidable by finite obstruction sets: mu <= 1 iff a disjoint
 union of paths, mu <= 2 iff outerplanar, mu <= 3 iff planar, mu <= 4 iff
 linklessly embeddable. Values 5 and above are reported as a single class.
-The classes are nested, so mu_at_most decides mu <= m by level m's test alone.
-
-Also carries the two reported (not asserted) edge-count inequalities for
-mu-bounded and bipartite linkless graphs.
+The classes are nested, so mu_at_most decides mu <= m by level m's test alone,
+and one classify_mu answers mu <= m for every m through MuClass.at_most.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, is_bipartite, is_path_union
+from .graph import Graph, is_path_union
 from .minors import is_linkless, is_outerplanar, is_planar
 
 # Levels 1..4 as (label, witness, test). Path unions are outerplanar, outerplanar
@@ -52,21 +50,3 @@ def mu_at_most(g: Graph, m: int) -> bool:
     if not 1 <= m <= 4:
         raise ValueError("m must be in 1..4 (higher classes are not decidable here)")
     return _LEVELS[m - 1][2](g)
-
-
-def check_problem1(g: Graph, m: int) -> bool:
-    """Report whether e(g) <= m*n - m(m+1)/2 for a graph verified to have
-    mu <= m. Decidable only for m <= 4."""
-    if not mu_at_most(g, m):
-        raise ValueError(f"graph is not verified to have mu <= {m}")
-    return g.edge_count <= m * g.n - m * (m + 1) // 2
-
-
-def check_problem2(g: Graph) -> bool:
-    """Report whether e(g) <= 3n - 9 for a graph verified bipartite and
-    linklessly embeddable."""
-    if not is_bipartite(g):
-        raise ValueError("graph is not bipartite")
-    if not is_linkless(g):
-        raise ValueError("graph is not linklessly embeddable")
-    return g.edge_count <= 3 * g.n - 9

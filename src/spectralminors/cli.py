@@ -25,7 +25,7 @@ import os
 import re
 import sys
 
-from .cdv import check_problem1, check_problem2, classify_mu
+from .cdv import classify_mu
 from .families import FamilySpec
 from .graph import (
     Graph,
@@ -33,6 +33,7 @@ from .graph import (
     complete_bipartite,
     cycle,
     encode_graph6,
+    is_bipartite,
     parse_graph6,
     path,
     petersen,
@@ -265,35 +266,27 @@ def _cmd_dy(args) -> int:
     return 0
 
 
-def _tally(n: int, check) -> tuple[int, int]:
-    """Members and violations at order n; check(g) raises ValueError on a non-member."""
-    members = violations = 0
-    for g in enumerate_graphs(n):
-        try:
-            ok = check(g)
-        except ValueError:
-            continue
-        members += 1
-        violations += not ok
-    return members, violations
-
-
 def _cmd_report_problems(args) -> int:
     if not 1 <= args.max_n <= ENUMERATION_LIMIT:
         raise ValueError(
             f"--max-n must be within the internal enumeration range 1..{ENUMERATION_LIMIT}")
+    # The mu classes are nested, so one classification answers mu <= m for every m.
+    orders = range(1, args.max_n + 1)
+    classes = {n: [(classify_mu(g), g) for g in enumerate_graphs(n)] for n in orders}
     print("problem 1: e <= m*n - m(m+1)/2 over graphs with mu <= m")
     print("m  n  members  violations")
     for m in range(1, 5):
-        for n in range(1, args.max_n + 1):
-            members, violations = _tally(n, lambda g: check_problem1(g, m))
-            print(f"{m}  {n}  {members:7d}  {violations:10d}")
+        for n in orders:
+            edges = [g.edge_count for c, g in classes[n] if c.at_most(m)]
+            violations = sum(e > m * n - m * (m + 1) // 2 for e in edges)
+            print(f"{m}  {n}  {len(edges):7d}  {violations:10d}")
     print()
     print("problem 2: e <= 3n - 9 over bipartite linkless graphs")
     print("n  members  violations")
-    for n in range(1, args.max_n + 1):
-        members, violations = _tally(n, check_problem2)
-        print(f"{n}  {members:7d}  {violations:10d}")
+    for n in orders:
+        edges = [g.edge_count for c, g in classes[n] if c.at_most(4) and is_bipartite(g)]
+        violations = sum(e > 3 * n - 9 for e in edges)
+        print(f"{n}  {len(edges):7d}  {violations:10d}")
     return 0
 
 

@@ -29,7 +29,9 @@ path within k / 2 + 2 while k / 2 basis rows fit in BASIS_BYTES.
 
 On a disconnected graph the component of largest spectral radius wins (ties
 to the lowest-indexed component); the returned vector is zero off the
-winning component and has maximum entry 1.
+winning component and has maximum entry 1. A lone vertex is never solved:
+the search starts from vertex 0's answer (lambda 0, vector e_0, no product),
+which every component with an edge beats, so an edgeless graph returns it.
 """
 
 from __future__ import annotations
@@ -175,10 +177,10 @@ def _lanczos(product, x: np.ndarray, ax: np.ndarray,
 
 def _component_power(src: np.ndarray, dst: np.ndarray,
                      k: int) -> tuple[float, np.ndarray, float, int]:
-    """Solve one connected k-vertex component whose directed edge list (src
-    ascending, every vertex a source when k > 1) is src -> dst."""
-    if k == 1:
-        return 0.0, np.ones(1), 0.0, 0
+    """Solve one connected component of k >= 2 vertices whose directed edge
+    list (src ascending, every vertex a source) is src -> dst: shifted power
+    iteration with a dense seed up to DENSE_SEED_MAX vertices, Lanczos steps
+    above. Returns lambda, the vector, its residual and the iterations."""
     tol = TOL
     starts = np.flatnonzero(np.diff(src, prepend=-1))
     shift = float(np.diff(starts, append=len(src)).max()) + 1.0
@@ -199,13 +201,13 @@ def _component_power(src: np.ndarray, dst: np.ndarray,
             least, least_it = resid, it
         elif it - least_it >= STAGNATION_WINDOW:
             raise ConvergenceError(
-                f"power iteration on a {k}-vertex component stagnated: no residual "
+                f"the solve of a {k}-vertex component stagnated: no residual "
                 f"below the least, {least!r} at iteration {least_it}, in the "
                 f"{STAGNATION_WINDOW} iterations since; last lambda {lam!r}, "
                 f"tol*max(1, lambda) = {tol * max(1.0, lam)!r}")
         if it >= ITERATION_CAP:
             raise ConvergenceError(
-                f"power iteration on a {k}-vertex component did not converge in "
+                f"the solve of a {k}-vertex component did not converge in "
                 f"{ITERATION_CAP} iterations: last lambda {lam!r}, residual {resid!r} "
                 f"> tol*max(1, lambda) = {tol * max(1.0, lam)!r}")
         if k > DENSE_SEED_MAX:
@@ -229,15 +231,17 @@ def spectral_radius(g: Graph) -> EigenResult:
     radius by a relative 3 n eps at most (under 2e-10 for n <= MAX_VERTICES)."""
     if g.n < 1:
         raise ValueError("spectral radius needs at least one vertex")
-    best = None
-    best_vs = None
+    best = (0.0, np.ones(1), 0.0, 0)
+    best_vs = [0]
     pos = np.empty(g.n, np.intp)
     for mask in g.component_masks():
+        if not mask & (mask - 1):
+            continue  # a lone vertex: lambda 0, never above best
         vs = list(_bits(mask))
         pos[vs] = np.arange(len(vs))
         src, dst = _edge_arrays([g.rows[v] for v in vs], g.n)
         lam, x, resid, it = _component_power(src, pos[dst], len(vs))
-        if best is None or lam > best[0]:
+        if lam > best[0]:
             best = (lam, x, resid, it)
             best_vs = vs
     lam, x, resid, it = best

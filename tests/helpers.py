@@ -4,9 +4,11 @@ backtracker (brute force over set partitions, and a minor-closure table over
 the atlas, built with the edge deletion and contraction moves below), the
 backtracker's candidate generator in its recursive form, a girth
 computation, a per-edge reference for Graph.relabel, random-graph builders,
-and the proof steps of the extremal arguments that the package itself never
+the proof steps of the extremal arguments that the package itself never
 calls (Rayleigh-quotient edge perturbations, clique completion, the mu join
-and K_{m,m} facts, the star-free edge bound, the apex-clique split)."""
+and K_{m,m} facts, the star-free edge bound, the apex-clique split), and the
+two edge-count inequality probes that `sml report-problems` is checked
+against."""
 
 from __future__ import annotations
 
@@ -25,8 +27,11 @@ from spectralminors import (
     enumerate_graphs,
     family_filter,
     has_minor,
+    is_bipartite,
+    is_linkless,
 )
 from spectralminors.canon import _key, _refine
+from spectralminors.cdv import mu_at_most
 from spectralminors.graph import _bits
 
 
@@ -420,6 +425,24 @@ def mu_kmm_check(m: int) -> bool:
     if not 3 <= m <= 4:
         raise ValueError("m must be 3 or 4")
     return classify_mu(complete_bipartite(m, m)).value == m + 1
+
+
+def check_problem1(g: Graph, m: int) -> bool:
+    """Report whether e(g) <= m*n - m(m+1)/2 for a graph verified to have
+    mu <= m. Decidable only for m <= 4."""
+    if not mu_at_most(g, m):
+        raise ValueError(f"graph is not verified to have mu <= {m}")
+    return g.edge_count <= m * g.n - m * (m + 1) // 2
+
+
+def check_problem2(g: Graph) -> bool:
+    """Report whether e(g) <= 3n - 9 for a graph verified bipartite and
+    linklessly embeddable."""
+    if not is_bipartite(g):
+        raise ValueError("graph is not bipartite")
+    if not is_linkless(g):
+        raise ValueError("graph is not linklessly embeddable")
+    return g.edge_count <= 3 * g.n - 9
 
 
 def max_degree_residual_bound(h: Graph, t: int) -> bool:

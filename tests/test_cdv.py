@@ -7,8 +7,6 @@ import pytest
 from spectralminors import (
     FamilySpec,
     MuClass,
-    check_problem1,
-    check_problem2,
     classify_mu,
     complete,
     complete_bipartite,
@@ -27,7 +25,15 @@ from spectralminors import (
 from spectralminors.cdv import mu_at_most
 from spectralminors.graph import Graph
 
-from helpers import contract_edge, delete_edge, mu_join_bound, mu_kmm_check, random_graph
+from helpers import (
+    check_problem1,
+    check_problem2,
+    contract_edge,
+    delete_edge,
+    mu_join_bound,
+    mu_kmm_check,
+    random_graph,
+)
 
 
 def test_classification_ladder():

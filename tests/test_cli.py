@@ -1,5 +1,6 @@
 """End-to-end checks of the command line interface via main(argv)."""
 
+import hashlib
 import io
 import json
 import re
@@ -20,6 +21,9 @@ from spectralminors.graph import (
     petersen,
 )
 from spectralminors.minors import MinorWitness, verify_witness
+from spectralminors.search import enumerate_graphs
+
+from helpers import check_problem1, check_problem2
 
 X_LINE = re.compile(r"^X(\d+): (\d+(?: \d+)*)$")
 
@@ -284,6 +288,35 @@ def test_report_problems_tables(capsys):
 
     code, _, err = run_cli(["report-problems", "--max-n", "9"], capsys)
     assert code == 1 and err.startswith("error:")
+
+
+def _probe_tally(n, check):
+    """Members and violations at order n, a graph counted as a member unless
+    its probe raises ValueError."""
+    members = violations = 0
+    for g in enumerate_graphs(n):
+        try:
+            ok = check(g)
+        except ValueError:
+            continue
+        members += 1
+        violations += not ok
+    return members, violations
+
+
+def test_report_problems_matches_the_probes(capsys):
+    # SHA-256 of the --max-n 7 tables taken while each row was tallied from
+    # the probes; every row is checked against such a tally again here
+    code, out, err = run_cli(["report-problems", "--max-n", "7"], capsys)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4dd59ad685d45608922d6ab6e52fd997c69174e8578883f2d5035608d1199d8d")
+    lines = out.splitlines()
+    rows1 = [tuple(map(int, line.split())) for line in lines[2:30]]
+    assert rows1 == [(m, n, *_probe_tally(n, lambda g: check_problem1(g, m)))
+                     for m in range(1, 5) for n in range(1, 8)]
+    rows2 = [tuple(map(int, line.split())) for line in lines[33:]]
+    assert rows2 == [(n, *_probe_tally(n, check_problem2)) for n in range(1, 8)]
 
 
 def test_usage_errors_exit_two(capsys):

@@ -346,6 +346,14 @@ def test_graph6_roundtrip_near_dense_max():
         edges = [(0, n - 1), (n - 2, n - 1), *(rng.sample(range(n), 2) for _ in range(3 * n))]
         g = Graph.from_edges(n, edges)
         assert parse_graph6(encode_graph6(g)) == g
+    # every edge runs from slab 0 to a later slab, none to slab 1: a matching
+    # u <-> u + 2 * _BLOCK and a star from vertex 0 to the last, partial slab,
+    # so every row of slab 0 gets its bits only from the transposed left part
+    # of a far slab
+    n = 3 * _BLOCK + 5
+    edges = [(u, u + 2 * _BLOCK) for u in range(_BLOCK)] + [(0, v) for v in range(3 * _BLOCK, n)]
+    g = Graph.from_edges(n, edges)
+    assert parse_graph6(encode_graph6(g)) == g
 
 
 def test_graph6_roundtrip_holds_no_square_array():

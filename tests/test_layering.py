@@ -3,7 +3,8 @@ module's dependencies show in its header and no deferred import can hide a
 cycle (minors, for one, must not reach up into cdv); and the package imports
 only the standard library, numpy and itself, so test oracles such as
 networkx never become runtime dependencies; no module reads the
-environment; and graph alone owns the packed bit format."""
+environment; graph alone owns the packed bit format; and no exception
+handler swallows what it catches."""
 
 import ast
 import sys
@@ -92,3 +93,20 @@ def test_graph_alone_owns_the_bit_format():
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             found += [f"{path.name}:{line} uses {name}" for name, line in _bit_format_uses(tree)]
     assert not found, "bit format used outside graph.py: " + ", ".join(found)
+
+
+def _silent_handlers(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and all(
+                isinstance(stmt, (ast.Continue, ast.Pass)) for stmt in node.body):
+            yield node.lineno
+
+
+def test_no_handler_swallows_its_exception():
+    # a handler whose body is only continue or pass reads every exception of
+    # its type as an answer, a fault in the code under it included
+    found = []
+    for path in sorted(Path(spectralminors.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _silent_handlers(tree)]
+    assert not found, "handlers whose body is only continue or pass: " + ", ".join(found)

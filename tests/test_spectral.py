@@ -94,6 +94,26 @@ def test_disconnected_support():
     assert all(v == 0.0 for v in res.vector[3:])
 
 
+def test_lone_vertices_are_never_solved(monkeypatch):
+    # the search starts from vertex 0's answer, which only a component with
+    # an edge beats, so no isolated vertex builds edge arrays
+    calls = []
+    real = spectral._edge_arrays
+
+    def counting(rows, n):
+        calls.append(len(rows))
+        return real(rows, n)
+
+    monkeypatch.setattr(spectral, "_edge_arrays", counting)
+    res = spectral_radius(Graph.empty(300))
+    assert calls == []
+    assert (res.lam, res.residual, res.iterations, res.max_vertex) == (0.0, 0.0, 0, 0)
+    assert res.vector == (1.0,) + (0.0,) * 299
+    res = spectral_radius(disjoint_union(Graph.empty(3), complete(2), Graph.empty(2)))
+    assert calls == [2]
+    assert res.lam == 1.0 and res.max_vertex == 3
+
+
 def test_edge_monotonicity_connected():
     rng = random.Random(4242)
     trials = 0
@@ -349,7 +369,8 @@ def test_convergence_error_names_the_component(monkeypatch):
     monkeypatch.setattr(spectral, "ITERATION_CAP", 5)
     # a power-iterated and a Lanczos-solved component hit the cap alike
     for k in (50, 100):
-        with pytest.raises(ConvergenceError, match=rf"{k}-vertex component.*last lambda .*"
+        with pytest.raises(ConvergenceError, match=rf"the solve of a {k}-vertex component.*"
+                           r"last lambda .*"
                            r"residual .* > tol\*max\(1, lambda\)"):
             spectral_radius(disjoint_union(complete(3), path(k)))
 
