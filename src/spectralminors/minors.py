@@ -1,6 +1,7 @@
 """Exact minor testing with explicit branch-set witnesses, the forbidden-minor
 families for outerplanar, planar, and linkless graphs, and the delta-wye
-closure that generates the linkless obstruction set from K_6.
+closure that generates the linkless obstruction set from K_6 (the set itself
+ships as graph6 constants equal to that closure).
 
 has_minor decides whether H is a minor of G by building branch sets, one per
 H-vertex in decreasing-degree order. Each branch set is a connected subset of
@@ -86,7 +87,7 @@ from heapq import heapify, heappop, heappush
 
 from .canon import canonical_key
 from .graph import (Graph, _bits, _components, _mask_edges, complete, complete_bipartite,
-                    delete_vertex)
+                    delete_vertex, parse_graph6)
 from .planarity import _is_plane_rotation, _lr_rotation
 
 
@@ -477,9 +478,14 @@ def planar_obstructions() -> tuple[Graph, ...]:
 
 @lru_cache(maxsize=1)
 def linkless_obstructions() -> tuple[Graph, ...]:
-    """The Petersen family: the delta-wye closure of K_6 (seven graphs, all
-    with 15 edges)."""
-    return delta_y_closure(complete(6))
+    """The Petersen family, the forbidden minors of linklessly embeddable
+    graphs (Robertson, Seymour and Thomas 1995): the delta-wye closure of
+    K_6, seven graphs with 15 edges each. They ship as graph6 constants,
+    parsed on first use, which are exactly delta_y_closure(complete(6)):
+    the same labels in the same order, which the witnesses depend on and a
+    test checks. Loading them computes no canonical form."""
+    return tuple(parse_graph6(t) for t in
+                 "E~~w FF~~? F]~Hw GFzf?w GBZ~Co H@YnCpS I@QFCpSJ?".split())
 
 
 def _excludes(obstructions: tuple[Graph, ...], g: Graph) -> bool:

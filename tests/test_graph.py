@@ -421,12 +421,6 @@ def test_graph6_matches_networkx_all_orders():
 
 
 def test_graph6_malformed_messages():
-    with pytest.raises(ValueError, match="outside graph6 range"):
-        parse_graph6("A\u00e9")
-    with pytest.raises(ValueError, match=re.escape("character '\\x14' outside")):
-        parse_graph6("A_" + chr(20))
-    with pytest.raises(ValueError, match="not ASCII"):
-        parse_graph6(b"A\xff")
     with pytest.raises(ValueError, match="truncated graph6 length escape"):
         parse_graph6("~??")
     with pytest.raises(ValueError, match="exceeds the 258047-vertex limit"):
@@ -435,14 +429,48 @@ def test_graph6_malformed_messages():
         parse_graph6(">>graph6<<\n")
     with pytest.raises(ValueError, match="truncated graph6 edge section: 0 of 369 bytes"):
         parse_graph6("~?@B")
-    # graph6 pads the last character with zero bits: "A_" is K2, "A`" no graph
-    for g in (complete(2), path(66)):  # 5 and 3 padding bits
+    with pytest.raises(ValueError, match="nonzero padding bits"):
+        parse_graph6("A`")  # graph6 pads the last character with zero bits: "A_" is K2
+    # every check runs on the ASCII bytes before either path builds rows, so
+    # each malformed line gets one message on both sides of WALK_MAX and in
+    # the long form: 10 walks its bits, 20 and 66 take the packed path
+    for g in (complete(2), path(10), path(20), path(66)):  # 5, 3, 2 and 3 padding bits
         text = encode_graph6(g)
         assert parse_graph6(text) == g
-        with pytest.raises(ValueError, match="nonzero padding bits"):
-            parse_graph6(text[:-1] + chr(ord(text[-1]) + 1))
-    with pytest.raises(ValueError, match="nonzero padding bits"):
-        parse_graph6("A`")
+        head = 1 if g.n <= 62 else 4
+        need = len(text) - head
+        mid = head + need // 2
+        for line, message in (
+                (text[:mid] + chr(20) + text[mid:], "character '\\x14' outside graph6 range"),
+                (text[:mid] + "\u00e9" + text[mid + 1:], "character '\u00e9' outside graph6 range"),
+                (text[:-1], f"truncated graph6 edge section: {need - 1} of {need} bytes"),
+                (text + "?", "trailing data after graph6 edge section"),
+                (text[:-1] + chr(ord(text[-1]) + 1),
+                 "nonzero padding bits in the last graph6 character")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                parse_graph6(line)
+        message = ("graph6 input is not ASCII: 'ascii' codec can't decode byte 0xff in "
+                   f"position {mid}: ordinal not in range(128)")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_graph6(text[:mid].encode() + b"\xff" + text[mid:].encode())
+
+
+def test_graph6_character_range():
+    # exactly the codes 63..126 are graph6 characters, on both sides of
+    # WALK_MAX and in the long form: n(n-1)/2 is a multiple of 6 at 9, 21
+    # and 64, so the line has no padding bits, and its "?" ends keep
+    # whitespace from being stripped
+    for n in (9, 21, 64):
+        head = encode_graph6(Graph.empty(n))[:1 if n <= 62 else 4]
+        need = n * (n - 1) // 12
+        for c in [*range(128), 0xe9, 0x2028]:
+            line = head + "?" + chr(c) * (need - 2) + "?"
+            if 63 <= c <= 126:
+                assert encode_graph6(parse_graph6(line)) == line
+            else:
+                with pytest.raises(ValueError, match=f"^character {re.escape(repr(chr(c)))} "
+                                                      "outside graph6 range$"):
+                    parse_graph6(line)
 
 
 # ---------------------------------------------------------------------------

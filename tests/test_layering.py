@@ -2,7 +2,8 @@
 module's dependencies show in its header and no deferred import can hide a
 cycle (minors, for one, must not reach up into cdv); and the package imports
 only the standard library, numpy and itself, so test oracles such as
-networkx never become runtime dependencies; no module reads the
+networkx never become runtime dependencies, and the tests only what the test
+extra declares besides; no module reads the
 environment; graph alone owns the packed bit format; and no exception
 handler swallows what it catches."""
 
@@ -48,6 +49,31 @@ def test_imports_only_stdlib_and_numpy():
         found += [f"{path.name}:{line} imports {root}"
                   for root, line in _imported_roots(tree) if root not in allowed]
     assert not found, "imports outside the standard library and numpy: " + ", ".join(found)
+
+
+def _importorskips(tree):
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "importorskip" and node.args
+                and isinstance(node.args[0], ast.Constant)):
+            yield node.args[0].value.split(".")[0], node.lineno
+
+
+def test_tests_import_only_declared_dependencies():
+    # tier-1 needs only what the test extra declares (pytest, networkx)
+    # besides numpy and the package: scipy and sympy are installed here and
+    # there, so an import of either would pass where it is and fail elsewhere
+    allowed = set(sys.stdlib_module_names) | {"numpy", "pytest", "networkx", "spectralminors",
+                                              "helpers"}
+    sources = sorted(Path(__file__).parent.glob("*.py"))
+    assert len(sources) >= 10
+    found = []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line} imports {root}"
+                  for root, line in (*_imported_roots(tree), *_importorskips(tree))
+                  if root not in allowed]
+    assert not found, "test imports outside the declared dependencies: " + ", ".join(found)
 
 
 def _environment_reads(tree):

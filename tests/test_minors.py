@@ -37,7 +37,7 @@ from spectralminors import (
     verify_witness,
     y_to_delta,
 )
-from spectralminors import minors
+from spectralminors import canon, minors
 from spectralminors.graph import _bits
 from spectralminors.minors import triangles
 from spectralminors.planarity import _is_plane_rotation, _lr_rotation
@@ -668,6 +668,26 @@ def test_petersen_family():
     assert any(are_isomorphic(g, k44e) for g in fam)
     pet = [g for g in fam if g.n == 10]
     assert len(pet) == 1 and girth(pet[0]) == 5
+
+
+def test_shipped_petersen_family_is_the_closure_of_k6():
+    # the graph6 constants must be the closure itself, labels and order
+    # included: the pinned witness digests depend on both
+    assert linkless_obstructions() == delta_y_closure(complete(6))
+
+
+def test_petersen_family_load_computes_no_form(monkeypatch):
+    def no_form(*args):
+        raise AssertionError("canonical form computed")
+
+    monkeypatch.setattr(canon, "_key", no_form)
+    monkeypatch.setattr(canon, "canonical_key", no_form)
+    monkeypatch.setattr(minors, "canonical_key", no_form)  # the name minors calls
+    linkless_obstructions.cache_clear()
+    try:
+        assert len(linkless_obstructions()) == 7
+    finally:
+        linkless_obstructions.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -92,10 +92,11 @@ def test_atlas_file_ships_with_the_package():
 
 
 def test_atlas_load_is_lazy_and_computes_no_form(monkeypatch):
-    # importing reads no atlas (some callers never enumerate), and loading
-    # it only parses the file
+    # importing parses neither the atlas nor the Petersen family (some
+    # callers use neither), and loading the atlas only parses the file
     probe = ("import sys, spectralminors\n"
-             "sys.exit(spectralminors.search._atlas.cache_info().currsize)")
+             "sys.exit(spectralminors.search._atlas.cache_info().currsize\n"
+             "         + spectralminors.minors.linkless_obstructions.cache_info().currsize)")
     env = {**os.environ, "PYTHONPATH": str(Path(search.__file__).parents[1])}
     assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=60).returncode == 0
 
