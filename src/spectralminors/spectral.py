@@ -4,8 +4,10 @@ to compare against extremal constructions and an integer 2-walk bound that
 lets scans skip solves.
 
 Each connected component is solved on its own. Its adjacency is built once
-from the bit rows as sparse index arrays (neighbour lists in row order), and
-the product A x is one gather and one segmented sum, so it costs O(edges).
+from the bit rows as sparse index arrays (neighbour lists in row order), read
+off the nonzero bytes of its rows packed over all n columns: k rows cost
+k n / 8 bytes and their edges, not k n unpacked bits. The product A x is one
+gather and one segmented sum, so it costs O(edges).
 Every solve starts from the all-ones vector (a regular component stops at
 the first product with residual 0.0) and stops when the infinity-norm
 eigen-residual |A x - lam x| of a nonnegative x is at most

@@ -3,7 +3,8 @@ the automorphism lister it prunes with, two minor oracles independent of the
 backtracker (brute force over set partitions, and a minor-closure table over
 the atlas, built with the edge deletion and contraction moves below), the
 backtracker's candidate generator in its recursive form, a girth
-computation, a per-edge reference for Graph.relabel, random-graph builders,
+computation, a per-edge reference for Graph.relabel, a whole-bit reference
+for the edge arrays the spectral solve reads, random-graph builders,
 the proof steps of the extremal arguments that the package itself never
 calls (Rayleigh-quotient edge perturbations, clique completion, the mu join
 and K_{m,m} facts, the star-free edge bound, the apex-clique split), and the
@@ -15,6 +16,8 @@ from __future__ import annotations
 import random
 from functools import cache
 from itertools import combinations, permutations
+
+import numpy as np
 
 from spectralminors import (
     FamilySpec,
@@ -32,7 +35,7 @@ from spectralminors import (
 )
 from spectralminors.canon import _key, _refine
 from spectralminors.cdv import mu_at_most
-from spectralminors.graph import _bits
+from spectralminors.graph import _bits, _packed, _unpack
 
 
 def automorphisms(rows) -> list[tuple[int, ...]]:
@@ -316,6 +319,12 @@ def random_sparse_graph(rng: random.Random, n: int, m: int) -> Graph:
 def relabel_by_edges(g: Graph, perm) -> Graph:
     """Reference for Graph.relabel: the image of each edge, one at a time."""
     return Graph.from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges()))
+
+
+def reference_edge_arrays(rows, n: int):
+    """Reference for graph._edge_arrays: every row unpacked to all n of its
+    bits, and the set ones read off row-major as (src, dst) index arrays."""
+    return np.divmod(np.flatnonzero(_unpack(_packed(rows, n), n)), n)
 
 
 def relabeled(rng: random.Random, g: Graph) -> Graph:

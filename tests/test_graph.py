@@ -39,6 +39,7 @@ from spectralminors.graph import (
     _asymmetry_dense,
     _asymmetry_walk,
     _components,
+    _edge_arrays,
     _pack,
     _packed,
     _packed_rows,
@@ -48,7 +49,7 @@ from spectralminors.graph import (
 from spectralminors.search import enumerate_graphs
 
 from helpers import (contract_edge, decompose_apex_clique, delete_edge, random_graph,
-                     random_sparse_graph, relabel_by_edges)
+                     random_sparse_graph, reference_edge_arrays, relabel_by_edges)
 
 
 def edge_set(g):
@@ -266,6 +267,26 @@ def test_transpose_packed_matches_unpacked_transpose():
         assert not got[m:].any()
 
 
+def test_edge_arrays_match_whole_bit_reference():
+    # the nonzero bytes expand to the same arrays, dtype, order and values,
+    # as unpacking every bit: on the atlas, on the large extremal graphs
+    # relabelled, on complete(600), where every byte is nonzero, on a star
+    # with one full row and 3,000 single bits, and on slabs with no edge
+    rng = random.Random(600)
+    graphs = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    graphs += [g.relabel(rng.sample(range(g.n), g.n)) for g in (
+        construct_kr_extremal(1800, 32), construct_kr_extremal(900, 20),
+        construct_kr_extremal(300, 8), construct_kst_extremal(2005, 6, 10),
+        construct_kst_extremal(1010, 11, 20), construct_kst_extremal(500, 3, 7),
+        construct_cdv_extremal(1200, 4), construct_cdv_extremal(400, 3),
+        path(100), path(200), path(300))]
+    graphs += [complete(600), complete_bipartite(1, 3000), Graph.empty(600).with_edge(1, 598)]
+    for g in graphs:
+        got, want = _edge_arrays(g.rows, g.n), reference_edge_arrays(g.rows, g.n)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b), encode_graph6(g)[:20]
+
+
 # ---------------------------------------------------------------------------
 # graph6 codec
 
@@ -371,6 +392,22 @@ def test_graph6_roundtrip_holds_no_square_array():
     assert peak < 24 * 2 ** 20, peak
 
 
+def test_edge_arrays_hold_no_more_than_the_whole_bit_build():
+    # the bounds are the peaks of the build that unpacked every bit, a slab
+    # at a time: 1,970,040 bytes on path(6000), where a 264 x 6000 slab of
+    # bits takes 1.5 MiB, and 3,428,968 on kr(1800, 32), four copies of its
+    # 107,070 directed edges; the nonzero bytes took 1,026,197 and 2,695,672
+    for g, bound in ((path(6000), 1970040), (construct_kr_extremal(1800, 32), 3428968)):
+        tracemalloc.start()
+        try:
+            src, dst = _edge_arrays(g.rows, g.n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(src) == len(dst) == 2 * g.edge_count
+        assert peak < bound, (g.n, peak)
+
+
 def test_relabel_holds_no_square_array():
     # relabel packs the moved rows and reads their transpose a slab at a
     # time: about 8 MiB at its peak, where the 6000 x 6000 uint8 matrix alone
@@ -403,11 +440,15 @@ def test_graph6_matches_networkx():
 def test_graph6_matches_networkx_all_orders():
     # n = 0..70 crosses the 62/63 switch to the long-form length; 300 and
     # 2005 are the sizes of the large extremal constructions; _BLOCK,
-    # 2 * _BLOCK and 3 * _BLOCK end the first three slabs
+    # 2 * _BLOCK and 3 * _BLOCK end the first three slabs, and _BLOCK + 1
+    # and 2 * _BLOCK + 1 end the last one row in, so that slab's bits, like
+    # the first slab's, are no multiple of 24, the base64 group; 600 at
+    # p = 0.95 writes almost every bit
     nx = pytest.importorskip("networkx")
     rng = random.Random(2005)
     cases = [(n, p) for n in [*range(71), 300] for p in (rng.random(), rng.random() * 0.05)]
     cases += [(n, 0.05) for n in (_BLOCK, 2 * _BLOCK, 3 * _BLOCK)]
+    cases += [(n, rng.random()) for n in (_BLOCK + 1, 2 * _BLOCK + 1)] + [(600, 0.95)]
     for n, p in cases + [(2005, 0.01)]:
         ng = nx.fast_gnp_random_graph(n, p, seed=rng.randrange(1 << 30))
         g = Graph.from_edges(n, ng.edges())

@@ -340,17 +340,17 @@ def test_dense_seed_switch_and_ties(monkeypatch):
         assert not any(res.vector[part.n:])
 
 
-def test_unpack_holds_at_most_a_block_of_rows(monkeypatch):
-    # a component is unpacked _BLOCK rows at a time into the same row-major
-    # edge arrays as one whole unpack, so the solve is bit for bit the same
+def test_edge_arrays_pack_at_most_a_block_of_rows(monkeypatch):
+    # a component's rows are packed _BLOCK at a time into the same row-major
+    # edge arrays as one whole pack, so the solve is bit for bit the same
     seen = []
-    real = graph._unpack
+    real = graph._packed
 
-    def recording(packed, n):
-        seen.append(len(packed))
-        return real(packed, n)
+    def recording(rows, n):
+        seen.append(len(rows))
+        return real(rows, n)
 
-    monkeypatch.setattr(graph, "_unpack", recording)
+    monkeypatch.setattr(graph, "_packed", recording)
     for g in (path(300), construct_kst_extremal(601, 3, 4)):
         assert g.is_connected() and g.n > graph._BLOCK
         seen.clear()
