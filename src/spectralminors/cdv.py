@@ -21,6 +21,11 @@ _LEVELS = (("<=1", "disjoint-paths", is_path_union),
            ("=4", "linkless", is_linkless))
 
 
+def _check_level(m: int) -> None:
+    if not 1 <= m <= 4:
+        raise ValueError("m must be in 1..4 (higher classes are not decidable here)")
+
+
 @dataclass(frozen=True)
 class MuClass:
     """Classification value in 1..5 (5 standing for 'at least 5'), its label,
@@ -31,7 +36,9 @@ class MuClass:
     witness: str
 
     def at_most(self, m: int) -> bool:
-        """Whether the class certifies mu <= m (only meaningful for m <= 4)."""
+        """Whether the class certifies mu <= m, for m in 1..4: the class
+        ">=5" cannot answer for m >= 5."""
+        _check_level(m)
         return self.value <= m
 
 
@@ -47,6 +54,5 @@ def classify_mu(g: Graph) -> MuClass:
 
 def mu_at_most(g: Graph, m: int) -> bool:
     """Whether mu(g) <= m, by level m's test alone. Decidable only for m <= 4."""
-    if not 1 <= m <= 4:
-        raise ValueError("m must be in 1..4 (higher classes are not decidable here)")
+    _check_level(m)
     return _LEVELS[m - 1][2](g)

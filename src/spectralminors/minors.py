@@ -6,9 +6,10 @@ ships as graph6 constants equal to that closure).
 has_minor decides whether H is a minor of G by building branch sets, one per
 H-vertex in decreasing-degree order. Each branch set is a connected subset of
 the unused G-vertices chosen to touch the neighborhood of every previously
-placed set it must be adjacent to. Exactness-preserving reductions run first
-and make sparse and join-heavy instances tractable. With d the minimum degree
-of H:
+placed set it must be adjacent to. First, a host with fewer edges than H is
+refused before anything else is done to it: a minor of G has at most e(G)
+edges. Exactness-preserving reductions run next and make sparse and
+join-heavy instances tractable. With d the minimum degree of H:
 
   * degree reductions, repeated until none applies: if d >= 1, delete an
     isolated vertex; if d >= 2, delete a vertex of degree 1; if d >= 3,
@@ -47,12 +48,17 @@ size has H as a minor iff G is isomorphic to H, which the search decides with
 single-vertex branch sets. A certificate only ever answers "no", so skipping
 one hands the query to the search with the same answer and the same witness.
 
-H's planarity class (nonplanar, not outerplanar) is cached per (H, active
-set) and comes from has_minor on K5, K3,3, K4 and K2,3, not from the
-embedding code. Profiling a pattern P therefore searches hosts that are
-minors of P, and by the rule above every pattern profiled inside those
-searches is smaller than its host in order or size and larger in neither, so
-strictly smaller than P in order plus size: the recursion ends.
+Whatever depends on H alone is computed once per (H, active set) and
+cached. _pattern holds H's order, minimum degree and edge count and the
+search's vertex order and counting-rule tables, all read off H's rows.
+_peel_vertices holds the vertices universal peeling tries, and _profile H's
+planarity class (nonplanar, not outerplanar). The profile comes from
+has_minor on K5, K3,3, K4 and K2,3, not from the embedding code, and is
+asked for only under the rule above. Profiling a pattern P therefore
+searches hosts that are minors of P, and by that rule every pattern profiled
+inside those searches is smaller than its host in order or size and larger
+in neither, so strictly smaller than P in order plus size: the recursion
+ends.
 
 An embedding counts only after planarity._is_plane_rotation accepts it on
 that call, so a nonplanar verdict or a rejected embedding decides nothing and
@@ -234,16 +240,10 @@ def _candidates(g_rows, free: int, cap: int, reqs):
             ext = (pext | (g_rows[vb.bit_length() - 1] & free)) & ~s & ~banned
 
 
-def _backtrack(h_rows, h_act: int, g_rows, g_act: int):
-    hvs = sorted(_bits(h_act), key=lambda v: (-(h_rows[v] & h_act).bit_count(), v))
+def _backtrack(hvs, earlier, owed, g_rows, g_act: int):
+    """Branch sets for H's vertices in the order hvs, with earlier and owed
+    the tables of _pattern, as a dict from H-vertex to G-mask, or None."""
     hn = len(hvs)
-    hpos = {v: i for i, v in enumerate(hvs)}
-    adj = [sorted(hpos[u] for u in _bits(h_rows[v] & h_act)) for v in hvs]
-    earlier = [[j for j in adj[i] if j < i] for i in range(hn)]
-    # owed[i]: (j, k) for each position j < i with k >= 1 H-neighbours at
-    # positions i or later (the counting rule of the module docstring)
-    owed = [[(j, k) for j in range(i) if (k := sum(p >= i for p in adj[j]))]
-            for i in range(hn)]
     blocks = [0] * hn
     nbhd = [0] * hn
 
@@ -271,7 +271,7 @@ def _backtrack(h_rows, h_act: int, g_rows, g_act: int):
         return False
 
     if place(0, g_act):
-        return {hvs[i]: blocks[i] for i in range(hn)}
+        return dict(zip(hvs, blocks))
     return None
 
 
@@ -306,6 +306,25 @@ def _embeds(rows, act: int) -> bool:
     rotation both give False."""
     rot = _lr_rotation(rows, act)
     return rot is not None and _is_plane_rotation(rows, act, rot)
+
+
+@lru_cache(maxsize=1024)
+def _pattern(h: Graph, h_act: int):
+    """(n, d, e, hvs, earlier, owed) of H on a nonempty h_act: its order,
+    minimum degree and edge count, and the backtracker's tables. hvs lists
+    the H-vertices in placement order, by decreasing degree and then label;
+    earlier[i] holds the positions before i adjacent to position i; owed[i]
+    holds (j, k) for each position j < i with k >= 1 H-neighbours at
+    positions i or later (the counting rule of the module docstring)."""
+    hvs = sorted(_bits(h_act), key=lambda v: (-(h.rows[v] & h_act).bit_count(), v))
+    hn = len(hvs)
+    hpos = {v: i for i, v in enumerate(hvs)}
+    adj = [sorted(hpos[u] for u in _bits(h.rows[v] & h_act)) for v in hvs]
+    earlier = tuple(tuple(j for j in adj[i] if j < i) for i in range(hn))
+    owed = tuple(tuple((j, k) for j in range(i) if (k := sum(p >= i for p in adj[j])))
+                 for i in range(hn))
+    # hvs ends on a vertex of minimum degree
+    return hn, len(adj[-1]), _mask_edges(h.rows, h_act), tuple(hvs), earlier, owed
 
 
 @lru_cache(maxsize=1024)
@@ -344,13 +363,16 @@ def _excluded(h: Graph, h_act: int, d: int, g_rows, g_act: int) -> bool:
 
 
 def _search(h: Graph, h_act: int, g_rows, g_act: int):
-    hn = h_act.bit_count()
-    if hn == 0:
+    if not h_act:
         return {}
+    hn, d, he, hvs, earlier, owed = _pattern(h, h_act)
     gn = g_act.bit_count()
     if hn > gn:
         return None
-    d = min((h.rows[v] & h_act).bit_count() for v in _bits(h_act))
+    # a minor of G has at most e(G) edges
+    ge = _mask_edges(g_rows, g_act)
+    if he > ge:
+        return None
     reduced = _reduce(g_rows, g_act, min(3, d))
     if reduced is not None:
         rows, act, merged = reduced
@@ -364,8 +386,7 @@ def _search(h: Graph, h_act: int, g_rows, g_act: int):
     # degree >= 2. A model of H uses |B| - 1 edges inside each branch set B
     # and e(H) between them, and the set U of unused vertices has 2|U| edge
     # ends on at least |U| further edges: e(G) >= e(H) + n(G) - n(H).
-    he, ge = _mask_edges(h.rows, h_act), _mask_edges(g_rows, g_act)
-    if he + (gn - hn if d >= 2 else 0) > ge:
+    if d >= 2 and he + gn - hn > ge:
         return None
     # a G of H's order and size contains H iff it is H (module docstring)
     if (gn, ge) != (hn, he) and _excluded(h, h_act, d, g_rows, g_act):
@@ -380,7 +401,7 @@ def _search(h: Graph, h_act: int, g_rows, g_act: int):
                     sub[v] = 1 << u
                     return sub
             return None
-    return _backtrack(h.rows, h_act, g_rows, g_act)
+    return _backtrack(hvs, earlier, owed, g_rows, g_act)
 
 
 def has_minor(h: Graph, g: Graph) -> MinorWitness | None:

@@ -262,12 +262,28 @@ def two_walk_bound(g: Graph) -> int:
 
     Computed from degree bit-planes: P_j holds the vertices whose degree has
     bit j set, and the row sum at v is sum_j |rows[v] & P_j| << j, so no step
-    walks the edges one by one."""
-    degs = g.degrees()
-    planes = [sum(1 << v for v, d in enumerate(degs) if d >> j & 1)
-              for j in range(max(degs, default=0).bit_length())]
-    return max((sum((row & p).bit_count() << j for j, p in enumerate(planes))
-                for row in g.rows), default=0)
+    walks the edges one by one. Plain loops, as generator expressions cost
+    more than the popcounts on small graphs."""
+    degs = [row.bit_count() for row in g.rows]
+    planes = [0] * max(degs, default=0).bit_length()
+    bit = 1
+    for d in degs:
+        j = 0
+        while d:
+            if d & 1:
+                planes[j] |= bit
+            d >>= 1
+            j += 1
+        bit <<= 1
+    w = 0
+    for row in g.rows:
+        s = j = 0
+        for p in planes:
+            s += (row & p).bit_count() << j
+            j += 1
+        if s > w:
+            w = s
+    return w
 
 
 @dataclass(frozen=True)

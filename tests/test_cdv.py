@@ -66,6 +66,12 @@ def test_at_most():
     c = classify_mu(complete(4))
     assert c.at_most(3) and c.at_most(4)
     assert not c.at_most(2)
+    # mu(K9) = 8, so the ">=5" class answers no m >= 5, nor any m below 1
+    c = classify_mu(complete(9))
+    assert c.value == 5 and not c.at_most(4)
+    for m in (0, 5, 8):
+        with pytest.raises(ValueError, match="1..4"):
+            c.at_most(m)
 
 
 def test_mu_at_most_matches_ladder():

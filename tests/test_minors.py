@@ -34,6 +34,7 @@ from spectralminors import (
     path,
     petersen,
     planar_obstructions,
+    scan_family,
     verify_witness,
     y_to_delta,
 )
@@ -320,6 +321,36 @@ def test_peeled_classes_are_computed_once(monkeypatch):
     keys.clear()
     assert has_minor(h, g) is None
     assert keys == []
+
+
+def test_pattern_record_is_built_once():
+    # order, minimum degree, edge count and backtracker tables depend on H
+    # and its active set only, so a second identical scan builds no record
+    spec = FamilySpec.kst_minor_free(2, 3)
+    minors._pattern.cache_clear()
+    first = scan_family(spec, 7, jobs=1)
+    misses = minors._pattern.cache_info().misses
+    assert misses
+    assert scan_family(spec, 7, jobs=1) == first
+    assert minors._pattern.cache_info().misses == misses
+
+
+def test_edge_count_rejects_before_any_reduction(monkeypatch):
+    # a minor of G has at most e(G) edges: the Petersen family graphs on at
+    # most 7 vertices (K6 and two on 7, 15 edges each) are refused by K6
+    # minus an edge (14) before the host is reduced, certified or searched
+    def unreachable(*args):
+        raise AssertionError("reached past the edge-count rejection")
+
+    for name in ("_reduce", "_excluded", "_backtrack"):
+        monkeypatch.setattr(minors, name, unreachable)
+    k6e = delete_edge(complete(6), 0, 1)
+    assert has_minor(complete(6), k6e) is None
+    host = disjoint_union(k6e, complete(1))
+    small = [h for h in linkless_obstructions() if h.n <= 7]
+    assert len(small) == 3
+    for h in small:
+        assert has_minor(h, host) is None
 
 
 # ---------------------------------------------------------------------------
