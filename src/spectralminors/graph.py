@@ -7,21 +7,29 @@ of rows[u] set iff uv is an edge. Python ints are arbitrary precision, so the
 same representation covers every size up to the graph6 long-form limit.
 
 Every Graph validates its rows when it is built: the row count, then each row
-for bits at or above n (a negative row fails here, before it is ever
-converted to bytes) and for a loop, then symmetry, naming the first pair
-(u, v) in row-major order with bit v of rows[u] set and bit u of rows[v]
-clear. Symmetry and relabel take one of two paths, selected by n alone,
-because the first costs O(n^2) bit operations whatever the edge count:
+for bits at or above n (a negative row fails here) and for a loop, then
+symmetry, naming the first pair (u, v) in row-major order with bit v of
+rows[u] set and bit u of rows[v] clear. Symmetry and relabel take one of two
+paths, selected by n alone, because the first costs O(n^2) bit operations
+whatever the edge count:
 
 - n <= DENSE_MAX: numpy on the packed adjacency, the rows' bytes as an
   n x ceil(n/8) matrix of at most 16 MiB, whose transpose is read one
   _BLOCK-row slab at a time, computed on the packed bytes 8 x 8 bits at a
-  time. Symmetry compares each slab with the same rows of the matrix;
-  relabel packs the rows in their new order, PA, whose transpose A P^T
-  holds each row with its columns moved. A sparse graph near the bound is
-  checked slower than by the walk (path(11584): 65 ms against 17 ms), a
-  dense one far faster (complete(5000) is built and relabelled in about
-  0.1 s, where the walk took about 19 s).
+  time. Each Graph is checked once, on one matrix: the rows packed, or the
+  matrix parse_graph6 and relabel build, through Graph._from_packed, whose
+  rows are read off the bytes it checks. The row checks read the padding
+  bits of the last byte column and the diagonal bits, and walk the rows only
+  to name a failing one; symmetry compares each slab with its mirror over
+  the columns left of the slab's end, half of the transpose. Relabel packs
+  the rows in their new order, PA, whose transpose A P^T holds each row with
+  its columns moved, and scatters each slab of it to the rows' new labels.
+  A sparse graph near the bound is checked slower than by the walk
+  (path(11584): 31 ms against 14 ms), a dense one far faster
+  (complete(5000) is built and relabelled in about 30 ms, where the walk
+  took about 19 s). The extremal constructions build their final rows in
+  one pass, so each checks one Graph: kst(2005, 6, 10) is built in 1.8 ms,
+  where joining its parts checked four Graphs in 3.7 ms.
   Orders up to WALK_MAX are walked all the same: so few bits cost less than
   the numpy calls.
 - n > DENSE_MAX: a Python walk over the set bits of the rows, O(E) steps of
@@ -45,8 +53,9 @@ their characters in C, through a translation between the two alphabets. On
 the 11 relabelled extremal graphs of 100 to 2005 vertices that the
 large-spectral benchmark solves, encoding all of them took 11-16 ms, where
 numpy packing six bits at a time took 37-50 ms, and parsing 31-39 ms against
-41-51 ms; parsing kst(2005, 6, 10) still spends about 3 ms validating its
-Graph and 1.6 ms turning packed rows into ints.
+41-51 ms. Parsing kst(2005, 6, 10) takes about 5.5 ms, 1.3 ms of it checking
+the parsed matrix; packing its rows a second time to check them made it
+6.6 ms.
 
 Timings are from a shared 2-core x86-64 machine.
 """
@@ -56,6 +65,7 @@ from __future__ import annotations
 import binascii
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from math import isqrt
 
 import numpy as np
@@ -140,18 +150,39 @@ def _asymmetry_walk(rows) -> tuple[int, int] | None:
     return None
 
 
-def _asymmetry_dense(rows, n: int) -> tuple[int, int] | None:
-    """The pair _asymmetry_walk finds, read off the packed matrix one row slab
-    at a time against the same slab of its transpose: the first byte, in
-    row-major order, with a bit whose mirror bit is clear names the pair."""
-    packed = _packed(rows, n)
+def _check_rows(rows, n: int) -> None:
+    """Reject the first row, in order, with a bit at or above n (a negative
+    row fails here) or a loop."""
+    for u, row in enumerate(rows):
+        if row >> n:
+            raise ValueError(f"row {u} references vertices >= n")
+        if row >> u & 1:
+            raise ValueError(f"loop at vertex {u}")
+
+
+def _asymmetry_dense(packed: np.ndarray, n: int) -> tuple[int, int] | None:
+    """The pair _asymmetry_walk finds, read off the packed n x ceil(n/8)
+    matrix, whose padding bits are clear. Each row slab a..b-1 is compared by
+    XOR with its mirror over the columns left of b only, the transpose of
+    rows 0..b-1 on the slab's columns: every pair (u, v) is read in the slab
+    of max(u, v), so the matrix is symmetric iff no slab differs, and half of
+    it is transposed. Only after a difference is found is each slab compared
+    with the same rows of the whole transpose: the first byte, in row-major
+    order, with a bit whose mirror bit is clear names the pair."""
+    for a in range(0, n, _BLOCK):
+        b = min(a + _BLOCK, n)
+        w = (b + 7) // 8  # b is a multiple of 8 or n: no column of a later slab is read
+        if (packed[a:b, :w] ^ _transpose_packed(packed[:b, a // 8:w])[:b - a]).any():
+            break
+    else:
+        return None
     for i, mirror in zip(range(0, n, _BLOCK), _transposed(packed, n)):
         lone = packed[i:i + _BLOCK] & ~mirror
         bad = np.flatnonzero(lone)
         if bad.size:
             u, byte = divmod(int(bad[0]), packed.shape[1])
             return (i + u, 8 * byte + next(_bits(int(lone[u, byte]))))
-    return None
+    raise RuntimeError("internal: the slabs differ but no pair is lone")
 
 
 @dataclass(frozen=True)
@@ -166,15 +197,42 @@ class Graph:
         check_order(self.n)
         if len(self.rows) != self.n:
             raise ValueError("adjacency row count does not match n")
-        for u, row in enumerate(self.rows):
-            if row >> self.n:
-                raise ValueError(f"row {u} references vertices >= n")
-            if row >> u & 1:
-                raise ValueError(f"loop at vertex {u}")
-        if WALK_MAX < self.n <= DENSE_MAX:
-            bad = _asymmetry_dense(self.rows, self.n)
+        self._check(None)
+
+    @classmethod
+    def _from_packed(cls, n: int, packed: np.ndarray) -> "Graph":
+        """The Graph whose rows are those of the packed n x ceil(n/8) matrix,
+        checked on that matrix: rows derive from the bytes checked, never
+        from a second copy."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "rows", _packed_rows(packed))
+        g._check(packed)
+        return g
+
+    def _check(self, packed: np.ndarray | None) -> None:
+        """The row checks, then symmetry, on the packed rows (packed here if
+        None) when WALK_MAX < n <= DENSE_MAX: a row that does not pack, a set
+        padding bit of the last byte column or a set diagonal bit sends the
+        rows through _check_rows, which names the first failing row."""
+        n, rows = self.n, self.rows
+        if not WALK_MAX < n <= DENSE_MAX:
+            _check_rows(rows, n)
+            bad = _asymmetry_walk(rows)
         else:
-            bad = _asymmetry_walk(self.rows)
+            if packed is None:
+                try:
+                    packed = _packed(rows, n)
+                except (OverflowError, AttributeError):
+                    # a negative row, one wider than the bytes, or not an int:
+                    # the walk names the row, or the error stands
+                    _check_rows(rows, n)
+                    raise
+            v = np.arange(n)
+            pad = (-1 << (n - 1) % 8 + 1) & 0xFF  # the bits of the last byte at or above n
+            if (packed[v, v >> 3] >> (v & 7) & 1).any() or (packed[:, -1] & pad).any():
+                _check_rows(rows, n)
+            bad = _asymmetry_dense(packed, n)
         if bad is not None:
             raise ValueError(f"asymmetric adjacency at {bad}")
 
@@ -261,10 +319,14 @@ class Graph:
             raise ValueError(f"relabel needs a permutation of range({self.n})")
         if WALK_MAX < self.n <= DENSE_MAX:
             inv = sorted(range(self.n), key=perm.__getitem__)  # new vertex a is old inv[a]
-            # the transpose of the moved rows holds each row with its columns moved
+            # the transpose of the moved rows holds row v with its columns
+            # moved, which is row perm[v] of the image
             moved = _transposed(_packed([self.rows[v] for v in inv], self.n), self.n)
-            cols = [r for slab in moved for r in _packed_rows(slab)]
-            return Graph(self.n, tuple([cols[v] for v in inv]))
+            to = np.array(perm)
+            new = np.empty((self.n, (self.n + 7) // 8), np.uint8)
+            for i, slab in zip(range(0, self.n, _BLOCK), moved):
+                new[to[i:i + _BLOCK]] = slab
+            return Graph._from_packed(self.n, new)
         rows = [0] * self.n
         for v in range(self.n):
             for u in _bits(self.rows[v]):
@@ -397,7 +459,7 @@ def parse_graph6(text) -> Graph:
       those rows over the columns left of the block's end; its diagonal tile
       is mirrored, the slab is packed into its own rows, and its left part,
       transposed, into the column bytes of the earlier rows. No n x n array
-      is built.
+      is built, and Graph._from_packed checks the matrix itself.
     """
     if isinstance(text, bytes):
         try:
@@ -466,9 +528,7 @@ def parse_graph6(text) -> Graph:
         packed[a:b, :low.shape[1]] = low
         if a:  # the left part, transposed, is columns a..b-1 of the earlier rows
             packed[:a, a // 8:low.shape[1]] = _transpose_packed(low[:, :a // 8])
-    rows = _packed_rows(packed)
-    del packed  # freed before Graph packs its own copy
-    return Graph(n, rows)
+    return Graph._from_packed(n, packed)
 
 
 def encode_graph6(g: Graph) -> str:
@@ -578,13 +638,25 @@ def delete_vertex(g: Graph, v: int) -> Graph:
 # Extremal constructions
 
 
+def _clique_join(a: int, n: int, rest) -> Graph:
+    """K_a on vertices 0..a-1 joined with the graph on a..n-1 whose rows,
+    over all n columns and without the clique's, rest yields in order: the
+    final rows built in one pass, so one Graph is checked. The orders are
+    checked first, a and n - a before n, as join(complete(a), H) checks them."""
+    for k in (a, n - a, n):
+        check_order(k)
+    full = (1 << n) - 1
+    clique = (1 << a) - 1
+    return Graph(n, tuple([full ^ 1 << v for v in range(a)] + [clique | r for r in rest]))
+
+
 def construct_kr_extremal(n: int, r: int) -> Graph:
     """K_{r-2} joined with an independent set on n-r+2 vertices."""
     if r < 3:
         raise ValueError("r must be at least 3")
     if n < r - 1:
         raise ValueError(f"need n >= r-1, got n={n}, r={r}")
-    return join(complete(r - 2), independent(n - r + 2))
+    return _clique_join(r - 2, n, repeat(0, n - r + 2))
 
 
 def kst_parts(n: int, s: int, t: int) -> tuple[int, int]:
@@ -601,12 +673,9 @@ def construct_kst_extremal(n: int, s: int, t: int) -> Graph:
         raise ValueError(f"need 2 <= s <= t, got s={s}, t={t}")
     if n < s:
         raise ValueError(f"need n >= s, got n={n}, s={s}")
-    k, p = kst_parts(n, s, t)
-    parts = [complete(t)] * k
-    if p:
-        parts.append(complete(p))
-    residual = disjoint_union(*parts) if parts else Graph.empty(0)
-    return join(complete(s - 1), residual)
+    check_order(t)  # K_t's order first, as building K_t would check it
+    blocks = ((1 << min(lo + t, n)) - (1 << lo) for lo in range(s - 1, n, t))
+    return _clique_join(s - 1, n, (block ^ 1 << v for block in blocks for v in _bits(block)))
 
 
 def construct_cdv_extremal(n: int, m: int) -> Graph:
@@ -615,7 +684,9 @@ def construct_cdv_extremal(n: int, m: int) -> Graph:
         raise ValueError("m must be at least 1")
     if n < m:
         raise ValueError(f"need n >= m, got n={n}, m={m}")
-    return join(complete(m - 1), path(n - m + 1))
+    # 5 << v >> 1 holds bits v - 1 and v + 1: v's path neighbours, cut to m-1..n-1
+    path_bits = (1 << n) - (1 << m - 1)
+    return _clique_join(m - 1, n, (5 << v >> 1 & path_bits for v in range(m - 1, n)))
 
 
 # ---------------------------------------------------------------------------

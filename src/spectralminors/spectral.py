@@ -85,13 +85,30 @@ def _dense_seed(src: np.ndarray, dst: np.ndarray, k: int) -> np.ndarray:
     return top / top.max()
 
 
-def _top_eigenpair(alpha: np.ndarray, beta: np.ndarray) -> tuple[float, np.ndarray]:
+def _top_eigenpair(alpha: np.ndarray, beta: np.ndarray,
+                   guess: float | None = None) -> tuple[float, np.ndarray]:
     """Largest eigenvalue of the symmetric tridiagonal matrix T with diagonal
     alpha and positive off-diagonal beta, as the least float found above
     every eigenvalue, and its unit eigenvector.
 
-    Bisection on Sturm counts finds the eigenvalue: x lies above every
-    eigenvalue when every pivot of the LDL^T factors of T - x I is negative.
+    x lies above every eigenvalue when every pivot of the LDL^T factors of
+    T - x I is negative. Computed in floating point this test is monotone in
+    x (Demmel, Dhillon and Ren, 1995), so the least float that passes it is
+    one float, whatever bracket a bisection starts from. The bracket starts
+    at the largest diagonal entry, a Rayleigh quotient of T, and Gershgorin's
+    bound plus 1, and narrows from its first probe, guess: the caller's
+    previous top Ritz value, from a leading block of T, which by interlacing
+    lies at most just above the top eigenvalue. Each probe tests x, narrows
+    the bracket, and the next is the Newton step for det(T - x I) from x
+    while that stays inside the bracket and at most halves the last step;
+    once Newton stops within a few ulps of an end, the probe moves 1, 2,
+    4, 8, then 16 ulps inside that end; otherwise it is the midpoint. On
+    the large-spectral joins and paths this takes 2 to 14 probes where plain
+    bisection took 47 to 53, and finds the same float; on 15,600 seeded
+    random tridiagonals of order up to 200 it took at most 88, where the
+    guess lay just above a lower eigenvalue or Newton crept toward a
+    cluster.
+
     Two steps of inverse iteration with the positive definite hi I - T, hi
     the eigenvalue found, from the all-ones vector give the eigenvector,
     which is positive. Both are O(m) loops over Python floats: LAPACK's eigh
@@ -101,25 +118,49 @@ def _top_eigenpair(alpha: np.ndarray, beta: np.ndarray) -> tuple[float, np.ndarr
     b = beta.tolist()
     b2 = [v * v for v in b]
 
-    def pivots(x: float) -> list[float]:
-        # the pivots of T - x I = L D L^T, up to the first nonnegative one
+    def probe(x: float) -> tuple[list[float], float]:
+        # the pivots d of T - x I = L D L^T, and the Newton step
+        # 1 / sum(d' / d) for det(T - x I) = prod(d), the derivatives d' in x
+        # by the same recurrence; 0.0 past a zero pivot
         d = [a[0] - x]
+        dd = -1.0
+        g = 0.0
         for ai, bb in zip(a[1:], b2):
-            if d[-1] >= 0.0:
-                break
+            if not d[-1]:
+                return d, 0.0
+            r = dd / d[-1]
+            g += r
+            dd = r * bb / d[-1] - 1.0
             d.append(ai - x - bb / d[-1])
-        return d
+        if not d[-1]:
+            return d, 0.0
+        g += dd / d[-1]
+        return d, 1.0 / g if g else 0.0
 
-    # the largest diagonal entry is a Rayleigh quotient of T; Gershgorin's
-    # bound, plus 1, lies strictly above every eigenvalue
     lo = max(a)
     hi = max(ai + bl + br for ai, bl, br in zip(a, [0.0] + b, b + [0.0])) + 1.0
+    x = 0.5 * (lo + hi) if guess is None else guess
+    last = hi - lo  # the last Newton step taken, or the bracket after a midpoint
+    ulps = 1.0
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if pivots(mid)[-1] < 0.0:
-            hi = mid
+        if not lo < x < hi:
+            x = mid
+        d, step = probe(x)
+        if all(v < 0.0 for v in d):
+            hi = x
         else:
-            lo = mid
-    e = [-d for d in pivots(hi)]  # the pivots of hi I - T, all positive
+            lo = x
+        x -= step
+        if lo < x < hi and abs(step) <= 0.5 * last:
+            last = abs(step)
+        elif (ulps <= 16.0 and not lo < x < hi
+              and min(abs(x - lo), abs(x - hi)) <= ulps * math.ulp(x)):
+            x = hi - ulps * math.ulp(hi) if x >= hi else lo + ulps * math.ulp(lo)
+            ulps *= 2.0
+        else:
+            x = 0.5 * (lo + hi)
+            last = hi - lo
+    e = [-d for d in probe(hi)[0]]  # the pivots of hi I - T, all positive
     z = [1.0] * len(a)
     for _ in range(2):
         for i in range(1, len(z)):
@@ -153,6 +194,7 @@ def _lanczos(product, x: np.ndarray, ax: np.ndarray,
     # threaded 500 x 1000 matrix-vector product took 8 ms, einsum 0.4 ms
     norm = math.sqrt(np.einsum("i,i", x, x))
     q, w = x / norm, ax / norm
+    theta = None
     for j in range(steps):
         if j:
             w = product(q)
@@ -169,7 +211,7 @@ def _lanczos(product, x: np.ndarray, ax: np.ndarray,
         # below TOL * |A q| the Krylov space is invariant and w is rounding noise
         final = j + 1 == steps or beta[j] <= TOL * scale
         if final or not j & (j + 1):
-            theta, s = _top_eigenpair(alpha[:j + 1], beta[:j])
+            theta, s = _top_eigenpair(alpha[:j + 1], beta[:j], theta)
             y = np.abs(np.einsum("i,ij", s, done))
             if final or beta[j] * s[-1] <= TOL * max(1.0, theta) * y.max():
                 break
@@ -239,17 +281,22 @@ def spectral_radius(g: Graph) -> EigenResult:
     for mask in g.component_masks():
         if not mask & (mask - 1):
             continue  # a lone vertex: lambda 0, never above best
-        vs = list(_bits(mask))
-        pos[vs] = np.arange(len(vs))
-        src, dst = _edge_arrays([g.rows[v] for v in vs], g.n)
-        lam, x, resid, it = _component_power(src, pos[dst], len(vs))
+        if mask == (1 << g.n) - 1:  # connected: the rows are the component's
+            vs = range(g.n)
+            src, dst = _edge_arrays(g.rows, g.n)
+        else:
+            vs = list(_bits(mask))
+            pos[vs] = np.arange(len(vs))
+            src, dst = _edge_arrays([g.rows[v] for v in vs], g.n)
+            dst = pos[dst]
+        lam, x, resid, it = _component_power(src, dst, len(vs))
         if lam > best[0]:
             best = (lam, x, resid, it)
             best_vs = vs
     lam, x, resid, it = best
     vector = [0.0] * g.n
-    for v, val in zip(best_vs, x):
-        vector[v] = float(val)
+    for v, val in zip(best_vs, x.tolist()):
+        vector[v] = val
     max_vertex = vector.index(1.0)
     return EigenResult(lam, tuple(vector), resid, it, max_vertex)
 

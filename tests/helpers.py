@@ -4,7 +4,9 @@ backtracker (brute force over set partitions, and a minor-closure table over
 the atlas, built with the edge deletion and contraction moves below), the
 backtracker's candidate generator in its recursive form, a girth
 computation, a per-edge reference for Graph.relabel, a whole-bit reference
-for the edge arrays the spectral solve reads, random-graph builders,
+for the edge arrays the spectral solve reads, the extremal constructions as
+join compositions, the plain Sturm bisection for the top eigenpair of a
+tridiagonal, random-graph builders,
 the proof steps of the extremal arguments that the package itself never
 calls (Rayleigh-quotient edge perturbations, clique completion, the mu join
 and K_{m,m} facts, the star-free edge bound, the apex-clique split), and the
@@ -13,6 +15,7 @@ against."""
 
 from __future__ import annotations
 
+import math
 import random
 from functools import cache
 from itertools import combinations, permutations
@@ -25,13 +28,19 @@ from spectralminors import (
     MuClass,
     canonical_key,
     classify_mu,
+    complete,
     complete_bipartite,
     delete_vertex,
+    disjoint_union,
     enumerate_graphs,
     family_filter,
     has_minor,
+    independent,
     is_bipartite,
     is_linkless,
+    join,
+    kst_parts,
+    path,
 )
 from spectralminors.canon import _key, _refine
 from spectralminors.cdv import mu_at_most
@@ -325,6 +334,67 @@ def reference_edge_arrays(rows, n: int):
     """Reference for graph._edge_arrays: every row unpacked to all n of its
     bits, and the set ones read off row-major as (src, dst) index arrays."""
     return np.divmod(np.flatnonzero(_unpack(_packed(rows, n), n)), n)
+
+
+def kr_by_join(n: int, r: int) -> Graph:
+    """Reference for construct_kr_extremal: K_{r-2} joined with n-r+2
+    independent vertices, as join composes them."""
+    return join(complete(r - 2), independent(n - r + 2))
+
+
+def kst_by_join(n: int, s: int, t: int) -> Graph:
+    """Reference for construct_kst_extremal: K_{s-1} joined with the
+    disjoint union of k copies of K_t and one K_p, p the remainder."""
+    k, p = kst_parts(n, s, t)
+    parts = [complete(t)] * k + ([complete(p)] if p else [])
+    return join(complete(s - 1), disjoint_union(*parts))
+
+
+def cdv_by_join(n: int, m: int) -> Graph:
+    """Reference for construct_cdv_extremal: K_{m-1} joined with P_{n-m+1}."""
+    return join(complete(m - 1), path(n - m + 1))
+
+
+def sturm_above(a, b2, x: float) -> bool:
+    """Whether every pivot of the LDL^T factors of T - x I is negative, T the
+    tridiagonal with diagonal a and squared off-diagonal b2 (lists of
+    floats), with the arithmetic of spectral._top_eigenpair."""
+    d = a[0] - x
+    for ai, bb in zip(a[1:], b2):
+        if d >= 0.0:
+            return False
+        d = ai - x - bb / d
+    return d < 0.0
+
+
+def reference_top_eigenpair(alpha: np.ndarray, beta: np.ndarray):
+    """Reference for spectral._top_eigenpair: plain bisection on the Sturm
+    test between the largest diagonal entry and Gershgorin's bound plus 1,
+    then two steps of inverse iteration from the all-ones vector."""
+    a = alpha.tolist()
+    b = beta.tolist()
+    b2 = [v * v for v in b]
+    lo = max(a)
+    hi = max(ai + bl + br for ai, bl, br in zip(a, [0.0] + b, b + [0.0])) + 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if sturm_above(a, b2, mid):
+            hi = mid
+        else:
+            lo = mid
+    d = [a[0] - hi]  # the pivots of T - hi I, all negative
+    for ai, bb in zip(a[1:], b2):
+        d.append(ai - hi - bb / d[-1])
+    e = [-v for v in d]
+    z = [1.0] * len(a)
+    for _ in range(2):
+        for i in range(1, len(z)):
+            z[i] += b[i - 1] / e[i - 1] * z[i - 1]
+        z[-1] /= e[-1]
+        for i in range(len(z) - 2, -1, -1):
+            z[i] = (z[i] + b[i] * z[i + 1]) / e[i]
+        norm = math.sqrt(math.fsum(v * v for v in z))
+        z = [v / norm for v in z]
+    return hi, np.array(z)
 
 
 def relabeled(rng: random.Random, g: Graph) -> Graph:

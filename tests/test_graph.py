@@ -32,12 +32,14 @@ from spectralminors import (
     petersen,
     recognize_residual,
 )
+from spectralminors import graph
 from spectralminors.graph import (
     _BLOCK,
     DENSE_MAX,
     WALK_MAX,
     _asymmetry_dense,
     _asymmetry_walk,
+    _check_rows,
     _components,
     _edge_arrays,
     _pack,
@@ -48,8 +50,9 @@ from spectralminors.graph import (
 )
 from spectralminors.search import enumerate_graphs
 
-from helpers import (contract_edge, decompose_apex_clique, delete_edge, random_graph,
-                     random_sparse_graph, reference_edge_arrays, relabel_by_edges)
+from helpers import (cdv_by_join, contract_edge, decompose_apex_clique, delete_edge, kr_by_join,
+                     kst_by_join, random_graph, random_sparse_graph, reference_edge_arrays,
+                     relabel_by_edges)
 
 
 def edge_set(g):
@@ -213,7 +216,7 @@ def test_symmetry_paths_agree():
     rejected = 0
     for rows in cases:
         want = _asymmetry_walk(rows)
-        assert _asymmetry_dense(rows, len(rows)) == want, rows
+        assert _asymmetry_dense(_packed(rows, len(rows)), len(rows)) == want, rows
         if want is not None:
             with pytest.raises(ValueError, match=re.escape(f"asymmetric adjacency at {want}")):
                 Graph(len(rows), rows)
@@ -221,14 +224,62 @@ def test_symmetry_paths_agree():
     assert min(rejected, len(cases) - rejected) > 1000
     for n in (DENSE_MAX, DENSE_MAX + 1):
         rows = path(n).rows
-        assert _asymmetry_dense(rows, n) is None
+        assert _asymmetry_dense(_packed(rows, n), n) is None
         for u, v in ((0, n - 1), (n - 1, 0), (n - 2, n - 1), (1000, 3000)):
             bad = list(rows)
             bad[u] ^= 1 << v
             pair = (u, v) if bad[u] >> v & 1 else (v, u)
-            assert _asymmetry_walk(bad) == _asymmetry_dense(bad, n) == pair
+            assert _asymmetry_walk(bad) == _asymmetry_dense(_packed(bad, n), n) == pair
             with pytest.raises(ValueError, match=re.escape(f"asymmetric adjacency at {pair}")):
                 Graph(n, tuple(bad))
+
+
+def _walk_error(rows) -> str:
+    """The message the walk path raises on these rows: the first failing row,
+    else the first asymmetric pair in row-major order."""
+    try:
+        _check_rows(rows, len(rows))
+    except ValueError as exc:
+        return str(exc)
+    return f"asymmetric adjacency at {_asymmetry_walk(rows)}"
+
+
+def test_dense_rejections_name_what_the_walk_names():
+    # above WALK_MAX a Graph is checked on its packed rows, and one built by
+    # Graph._from_packed on the matrix given: each fault raises the walk's
+    # ValueError and message. A negative row and a bit past the packed width
+    # have no bytes, so only rows can hold them. The last pair sets only bit
+    # v of row u, v past the end of u's slab, where the lower part of the
+    # matrix holds no bit of the pair.
+    for n in (WALK_MAX + 1, _BLOCK + 1, 2 * _BLOCK + 1):
+        assert n % 8 == 1  # bit n lies in the padding of the last byte
+        width = 8 * ((n + 7) // 8)
+        u, v = (3, n - 1) if n > _BLOCK else (3, 12)
+        assert n <= _BLOCK or v >= _BLOCK > u
+        faults = [  # (edits, message, expressible in bytes)
+            ({5: -1}, "row 5 references vertices >= n", False),
+            ({7: 1 << n}, "row 7 references vertices >= n", True),
+            ({7: 1 << width}, "row 7 references vertices >= n", False),
+            ({9: 1 << 9}, "loop at vertex 9", True),
+            ({u: 1 << v}, f"asymmetric adjacency at {(u, v)}", True),
+            ({9: 1 << 9, 4: 1 << n}, "row 4 references vertices >= n", True),
+            ({2: -1, 9: 1 << 9}, "row 2 references vertices >= n", False),
+            ({9: 1 << 9, u: 1 << v}, "loop at vertex 9", True),
+        ]
+        for edits, want, in_bytes in faults:
+            rows = list(path(n).rows)
+            for w, bits in edits.items():
+                rows[w] = bits if bits < 0 else rows[w] | bits
+            assert _walk_error(rows) == want
+            with pytest.raises(ValueError) as info:
+                Graph(n, rows)
+            assert type(info.value) is ValueError and str(info.value) == want, (n, edits)
+            if in_bytes:
+                with pytest.raises(ValueError) as info:
+                    Graph._from_packed(n, _packed(rows, n))
+                assert type(info.value) is ValueError and str(info.value) == want, (n, edits)
+        g = petersen() if n <= WALK_MAX else random_graph(random.Random(n), n, 0.3)
+        assert Graph._from_packed(n, _packed(g.rows, n)) == g
 
 
 def test_large_sparse_graphs_walk_their_bits():
@@ -628,6 +679,40 @@ def test_cdv_construction():
         construct_cdv_extremal(3, 0)
     with pytest.raises(ValueError):
         construct_cdv_extremal(2, 3)
+
+
+# the sizes the large-spectral benchmark builds, and its smoke sizes
+BENCH_CONSTRUCTIONS = [
+    (construct_kr_extremal, kr_by_join, (1800, 32)), (construct_kr_extremal, kr_by_join, (900, 20)),
+    (construct_kr_extremal, kr_by_join, (300, 8)), (construct_kr_extremal, kr_by_join, (200, 8)),
+    (construct_kst_extremal, kst_by_join, (2005, 6, 10)),
+    (construct_kst_extremal, kst_by_join, (1010, 11, 20)),
+    (construct_kst_extremal, kst_by_join, (500, 3, 7)), (construct_kst_extremal, kst_by_join, (65, 3, 7)),
+    (construct_cdv_extremal, cdv_by_join, (1200, 4)), (construct_cdv_extremal, cdv_by_join, (400, 3)),
+    (construct_cdv_extremal, cdv_by_join, (100, 4)),
+]
+
+
+def test_constructions_equal_their_join_compositions(monkeypatch):
+    # each construction builds its final rows in one pass: the same Graph as
+    # joining the clique with the other side, checked densely once
+    for n in range(1, 41):
+        for r in range(3, n + 2):
+            assert construct_kr_extremal(n, r) == kr_by_join(n, r), (n, r)
+        for s in range(2, n + 1):
+            for t in range(s, n + 2):
+                assert construct_kst_extremal(n, s, t) == kst_by_join(n, s, t), (n, s, t)
+        for m in range(1, n + 1):
+            assert construct_cdv_extremal(n, m) == cdv_by_join(n, m), (n, m)
+    checked = []
+    real = graph._asymmetry_dense
+    monkeypatch.setattr(graph, "_asymmetry_dense",
+                        lambda packed, n: checked.append(n) or real(packed, n))
+    for build, by_join, args in BENCH_CONSTRUCTIONS:
+        checked.clear()
+        g = build(*args)
+        assert checked == [args[0]], (build.__name__, args)
+        assert g == by_join(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -97,22 +97,26 @@ def test_package_reads_no_environment():
     assert not found, "environment reads: " + ", ".join(found)
 
 
+_BIT_FORMAT_NAMES = ("packbits", "unpackbits", "_BLOCK", "_from_packed")
+
+
 def _bit_format_uses(tree):
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in ("packbits", "unpackbits", "_BLOCK"):
+        if isinstance(node, ast.Attribute) and node.attr in _BIT_FORMAT_NAMES:
             yield node.attr, node.lineno
-        elif isinstance(node, ast.Name) and node.id == "_BLOCK":
+        elif isinstance(node, ast.Name) and node.id in ("_BLOCK", "_from_packed"):
             yield node.id, node.lineno
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                if alias.name in ("packbits", "unpackbits", "_BLOCK"):
+                if alias.name in _BIT_FORMAT_NAMES:
                     yield alias.name, node.lineno
 
 
 def test_graph_alone_owns_the_bit_format():
     # the packed rows, their slab height and the bit order are graph's: other
     # modules ask it for what they need (spectral for its edge arrays), so a
-    # change of format or slab height stays inside one module
+    # change of format or slab height stays inside one module, and only graph
+    # builds a Graph from packed bytes
     found = []
     for path in sorted(Path(spectralminors.__file__).parent.glob("*.py")):
         if path.name != "graph.py":

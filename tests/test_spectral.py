@@ -35,7 +35,8 @@ from spectralminors import (
 from spectralminors import graph, spectral
 from spectralminors.graph import Graph
 
-from helpers import delete_edge, random_graph, rayleigh_delta
+from helpers import (delete_edge, random_graph, rayleigh_delta, reference_top_eigenpair,
+                     sturm_above)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +265,92 @@ def test_top_eigenpair_of_a_tridiagonal():
             assert abs(theta - np.linalg.eigvalsh(t)[-1]) <= bound
             assert s.min() > 0.0 and abs(s @ s - 1.0) < 1e-14
             assert np.abs(t @ s - theta * s).max() <= bound
+
+
+def _seeded_tridiagonal(rng, trial):
+    """A symmetric tridiagonal of order 1 to 200 with positive off-diagonal,
+    its diagonal by trial mod 4: normal, clustered within 1e-12, three
+    values, or zero with unit off-diagonal (a path's), at a random scale."""
+    m = int(rng.integers(1, 201))
+    scale = 10.0 ** rng.uniform(-3, 3)
+    kind = trial % 4
+    if kind == 0:
+        alpha = rng.normal(size=m)
+    elif kind == 1:
+        alpha = rng.normal() + 1e-12 * rng.normal(size=m)
+    elif kind == 2:
+        alpha = rng.choice([0.0, 1.0, 2.0], size=m)
+    else:
+        alpha = np.zeros(m)
+    beta = np.ones(m - 1) if kind == 3 else rng.uniform(1e-8, 1.0, size=m - 1)
+    return scale * alpha, scale * beta
+
+
+def test_sturm_test_is_monotone():
+    # _top_eigenpair may start its bracket anywhere because the floating-point
+    # Sturm test is monotone in x (Demmel, Dhillon and Ren 1995): it fails at
+    # every float below the least passing one and passes at every float above
+    rng = np.random.default_rng(1995)
+    for trial in range(200):
+        alpha, beta = _seeded_tridiagonal(rng, trial)
+        a, b2 = alpha.tolist(), (beta * beta).tolist()
+        top = reference_top_eigenpair(alpha, beta)[0]
+        xs = [top]
+        below = above = top
+        for _ in range(40):
+            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+            xs += [below, above]
+        spread = max(a) - min(a) + 2.0 * max(beta.tolist(), default=1.0)
+        xs += rng.uniform(min(a) - spread, top + spread, size=60).tolist()
+        xs.sort()
+        passes = [sturm_above(a, b2, x) for x in xs]
+        assert passes == sorted(passes), trial
+        assert sturm_above(a, b2, top) and not sturm_above(a, b2, math.nextafter(top, -math.inf))
+
+
+def _same_pair(got, want) -> bool:
+    return got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+
+
+def test_top_eigenpair_matches_plain_bisection():
+    # value and vector bit for bit, from no first probe, from the top of a
+    # leading block (what the Lanczos run passes), and from anywhere
+    rng = np.random.default_rng(30)
+    for trial in range(400):
+        alpha, beta = _seeded_tridiagonal(rng, trial)
+        want = reference_top_eigenpair(alpha, beta)
+        m = len(alpha)
+        k = int(rng.integers(1, m + 1))
+        guesses = [None, reference_top_eigenpair(alpha[:k], beta[:k - 1])[0],
+                   want[0] + float(rng.normal()) * (abs(want[0]) + 1.0)]
+        for guess in guesses:
+            assert _same_pair(spectral._top_eigenpair(alpha, beta, guess), want), (trial, guess)
+
+
+def test_top_eigenpair_matches_plain_bisection_on_benchmark_solves(monkeypatch):
+    # every call made while solving the graphs of the large-spectral
+    # benchmark, relabelled as its seed 1 relabels them, and P2100
+    calls = []
+    real = spectral._top_eigenpair
+
+    def recording(alpha, beta, guess=None):
+        got = real(alpha, beta, guess)
+        calls.append((alpha.copy(), beta.copy(), got))
+        return got
+
+    monkeypatch.setattr(spectral, "_top_eigenpair", recording)
+    graphs = [construct_kr_extremal(1800, 32), construct_kr_extremal(900, 20),
+              construct_kr_extremal(300, 8), construct_kst_extremal(2005, 6, 10),
+              construct_kst_extremal(1010, 11, 20), construct_kst_extremal(500, 3, 7),
+              construct_cdv_extremal(1200, 4), construct_cdv_extremal(400, 3),
+              path(100), path(200), path(300)]
+    rng = random.Random(1)
+    for g in graphs:
+        spectral_radius(g.relabel(rng.sample(range(g.n), g.n)))
+    spectral_radius(path(2100))
+    assert len(calls) >= 50
+    for alpha, beta, got in calls:
+        assert _same_pair(got, reference_top_eigenpair(alpha, beta)), len(alpha)
 
 
 def test_lanczos_basis_stays_under_its_cap(monkeypatch):
