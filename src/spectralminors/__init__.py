@@ -62,9 +62,7 @@ from .search import (
 from .spectral import (
     ConvergenceError,
     EigenResult,
-    InterlacingCheck,
     QuotientMatrix,
-    check_interlacing_bound,
     kst_lambda_bound,
     quotient_bound,
     spectral_radius,

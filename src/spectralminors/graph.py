@@ -24,40 +24,27 @@ whatever the edge count:
   the columns left of the slab's end, half of the transpose. Relabel packs
   the rows in their new order, PA, whose transpose A P^T holds each row with
   its columns moved, and scatters each slab of it to the rows' new labels.
-  A sparse graph near the bound is checked slower than by the walk
-  (path(11584): 31 ms against 14 ms), a dense one far faster
-  (complete(5000) is built and relabelled in about 30 ms, where the walk
-  took about 19 s). The extremal constructions build their final rows in
-  one pass, so each checks one Graph: kst(2005, 6, 10) is built in 1.8 ms,
-  where joining its parts checked four Graphs in 3.7 ms.
+  A sparse graph near the bound is checked slower than by the walk, a dense
+  one far faster. The extremal constructions build their final rows in one
+  pass, so each checks one Graph, not one per join of its parts.
   Orders up to WALK_MAX are walked all the same: so few bits cost less than
   the numpy calls.
 - n > DENSE_MAX: a Python walk over the set bits of the rows, O(E) steps of
   O(n / 64) word operations each and no n^2 memory. On large sparse graphs it
-  is the only cheap path: path(50000) is checked in about 0.35 s, where the
-  packed matrix alone would take 300 MiB, and Graph.empty(MAX_VERTICES)
-  7.8 GiB.
+  is the only cheap path: the packed matrix of path(50000) alone would take
+  300 MiB, and that of Graph.empty(MAX_VERTICES) 7.8 GiB.
 
 The graph6 codec splits at WALK_MAX too. Every check of a graph6 string
 runs on its ASCII bytes, with no numpy call. Up to WALK_MAX vertices the edge
 section is read and written as one Python int whose set bits are walked:
-parsing a 9-vertex line takes about 14 us, where the packed path took about
-31 us of mostly fixed numpy overhead, encoding one 5.5 us against 14 us, and
-parsing the 1,253 lines of the n <= 7 atlas 0.013 s against 0.035-0.040 s.
+on so few bits numpy's fixed call overhead costs more than the walk.
 Above WALK_MAX the codec works _BLOCK rows at a time on the packed rows, so
 no function here builds an n x n array. _BLOCK is a multiple of 24, so every
 slab starts on a byte of the packed rows and on a graph6 character. graph6
 and base64 both write big-endian six-bit groups, one character each, so a
 slab's triangle bits are packed into bytes and binascii writes or reads
-their characters in C, through a translation between the two alphabets. On
-the 11 relabelled extremal graphs of 100 to 2005 vertices that the
-large-spectral benchmark solves, encoding all of them took 11-16 ms, where
-numpy packing six bits at a time took 37-50 ms, and parsing 31-39 ms against
-41-51 ms. Parsing kst(2005, 6, 10) takes about 5.5 ms, 1.3 ms of it checking
-the parsed matrix; packing its rows a second time to check them made it
-6.6 ms.
-
-Timings are from a shared 2-core x86-64 machine.
+their characters in C, through a translation between the two alphabets,
+not through numpy packing six bits at a time.
 """
 
 from __future__ import annotations
@@ -351,24 +338,12 @@ def _packed(rows, n: int) -> np.ndarray:
     return packed
 
 
-def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
-    """The first n bits of each packed row as a 0/1 uint8 row."""
-    return np.unpackbits(packed, axis=1, count=n, bitorder="little")
-
-
-def _pack(adj: np.ndarray) -> np.ndarray:
-    """Inverse of _unpack: each 0/1 row packed into bytes, zero-padded."""
-    return np.packbits(adj, axis=1, bitorder="little")
-
-
 def _edge_arrays(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The bit rows' directed edges as (src, dst) index arrays, row-major.
     The rows are packed _BLOCK at a time and only their nonzero bytes are
     expanded: each repeats its row and column byte once per set bit, and its
     bit offsets come from unpacking those bytes alone, so a row costs its
-    packed bytes and its edges, not n unpacked bits. On kst(2005, 6, 10),
-    unpacking every bit took 10-13 ms, this 3.5-4.4 ms; on K1,20000 0.88 s
-    against 0.14 s."""
+    packed bytes and its edges, not n unpacked bits."""
     nb = (n + 7) // 8
     src, dst = [], []
     for i in range(0, len(rows), _BLOCK):
@@ -399,11 +374,10 @@ _BIT_TRANSPOSE = tuple((np.uint64(shift), np.uint64(mask)) for shift, mask in (
 
 def _transpose_packed(packed: np.ndarray) -> np.ndarray:
     """The transpose of a k x w packed bit matrix (k rows of 8w bits, packed
-    as by _pack) as an 8w x ceil(k/8) packed matrix, computed on the packed
-    bytes: each 8 x 8 block of bits becomes one word, the words are
-    transposed bit-wise, and the grid of blocks is transposed. Unpacking to
-    0/1 bytes and transposing those took 8 times as long on a 2005 x 256
-    slab (1.1 ms against 0.13 ms)."""
+    as _packed packs rows) as an 8w x ceil(k/8) packed matrix, computed on
+    the packed bytes, not on 0/1 bytes unpacked from them: each 8 x 8 block
+    of bits becomes one word, the words are transposed bit-wise, and the grid
+    of blocks is transposed."""
     k, w = packed.shape
     r = -(-k // 8)
     blocks = np.zeros((8 * r, w), np.uint8)
@@ -428,9 +402,8 @@ def _slab_triangle(a: int, b: int) -> np.ndarray:
     graph6 lists the upper triangle column by column; column j is the low j
     bits of row j, so the strict lower triangle read row-major is the same bit
     sequence, and rows a..b-1 hold its bits a(a-1)/2 up to b(b-1)/2.
-    np.tri compares on the narrowest integer type that holds b: at n = 2005
-    the mask takes about 0.06 ms a slab, where comparing intp aranges took
-    about 0.4 ms."""
+    np.tri compares on the narrowest integer type that holds b, so it builds
+    the mask faster than comparing intp aranges."""
     return np.tri(b - a, b, a - 1, dtype=bool)
 
 
@@ -524,7 +497,7 @@ def parse_graph6(text) -> Graph:
         slab = np.zeros((b - a, b), np.uint8)
         slab[_slab_triangle(a, b)] = np.unpackbits(np.frombuffer(raw, np.uint8), count=hi - lo)
         slab[:, a:] |= slab[:, a:].T
-        low = _pack(slab)
+        low = np.packbits(slab, axis=1, bitorder="little")
         packed[a:b, :low.shape[1]] = low
         if a:  # the left part, transposed, is columns a..b-1 of the earlier rows
             packed[:a, a // 8:low.shape[1]] = _transpose_packed(low[:, :a // 8])
@@ -557,7 +530,8 @@ def encode_graph6(g: Graph) -> str:
     body = [bytes(head)]
     for a in range(0, n, _BLOCK):
         b = min(a + _BLOCK, n)
-        slab = _unpack(_packed(g.rows[a:b], n)[:, :(b + 7) // 8], b)
+        packed = _packed(g.rows[a:b], n)[:, :(b + 7) // 8]
+        slab = np.unpackbits(packed, axis=1, count=b, bitorder="little")
         bits = slab[_slab_triangle(a, b)]
         chars = binascii.b2a_base64(np.packbits(bits).tobytes(), newline=False)
         body.append(chars[:(len(bits) + 5) // 6].translate(_TO_G6))

@@ -40,11 +40,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .graph import Graph, _bits, _edge_arrays, join
+from .graph import Graph, _bits, _edge_arrays
 
 ITERATION_CAP = 10 ** 6
 TOL = 1e-12
@@ -85,82 +84,44 @@ def _dense_seed(src: np.ndarray, dst: np.ndarray, k: int) -> np.ndarray:
     return top / top.max()
 
 
-def _top_eigenpair(alpha: np.ndarray, beta: np.ndarray,
-                   guess: float | None = None) -> tuple[float, np.ndarray]:
+def _top_eigenpair(alpha: np.ndarray, beta: np.ndarray) -> tuple[float, np.ndarray]:
     """Largest eigenvalue of the symmetric tridiagonal matrix T with diagonal
     alpha and positive off-diagonal beta, as the least float found above
     every eigenvalue, and its unit eigenvector.
 
     x lies above every eigenvalue when every pivot of the LDL^T factors of
     T - x I is negative. Computed in floating point this test is monotone in
-    x (Demmel, Dhillon and Ren, 1995), so the least float that passes it is
-    one float, whatever bracket a bisection starts from. The bracket starts
-    at the largest diagonal entry, a Rayleigh quotient of T, and Gershgorin's
-    bound plus 1, and narrows from its first probe, guess: the caller's
-    previous top Ritz value, from a leading block of T, which by interlacing
-    lies at most just above the top eigenvalue. Each probe tests x, narrows
-    the bracket, and the next is the Newton step for det(T - x I) from x
-    while that stays inside the bracket and at most halves the last step;
-    once Newton stops within a few ulps of an end, the probe moves 1, 2,
-    4, 8, then 16 ulps inside that end; otherwise it is the midpoint. On
-    the large-spectral joins and paths this takes 2 to 14 probes where plain
-    bisection took 47 to 53, and finds the same float; on 15,600 seeded
-    random tridiagonals of order up to 200 it took at most 88, where the
-    guess lay just above a lower eigenvalue or Newton crept toward a
-    cluster.
+    x (Demmel, Dhillon and Ren, 1995), so bisection ends on the least float
+    that passes it. The bracket runs from the largest diagonal entry, a
+    Rayleigh quotient of T, to Gershgorin's bound plus 1.
 
     Two steps of inverse iteration with the positive definite hi I - T, hi
     the eigenvalue found, from the all-ones vector give the eigenvector,
     which is positive. Both are O(m) loops over Python floats: LAPACK's eigh
-    takes O(m^3) time and O(m^2) memory, and on a shared 2-core machine its
-    OpenBLAS threads stalled a 128 x 128 solve for 0.2 s."""
+    takes O(m^3) time and O(m^2) memory, and its threaded BLAS stalls on a
+    shared machine."""
     a = alpha.tolist()
     b = beta.tolist()
     b2 = [v * v for v in b]
 
-    def probe(x: float) -> tuple[list[float], float]:
-        # the pivots d of T - x I = L D L^T, and the Newton step
-        # 1 / sum(d' / d) for det(T - x I) = prod(d), the derivatives d' in x
-        # by the same recurrence; 0.0 past a zero pivot
+    def pivots(x: float) -> list[float]:
+        # the pivots of T - x I = L D L^T up to the first that is not
+        # negative, so no step divides by a zero pivot
         d = [a[0] - x]
-        dd = -1.0
-        g = 0.0
         for ai, bb in zip(a[1:], b2):
-            if not d[-1]:
-                return d, 0.0
-            r = dd / d[-1]
-            g += r
-            dd = r * bb / d[-1] - 1.0
+            if d[-1] >= 0.0:
+                break
             d.append(ai - x - bb / d[-1])
-        if not d[-1]:
-            return d, 0.0
-        g += dd / d[-1]
-        return d, 1.0 / g if g else 0.0
+        return d
 
     lo = max(a)
     hi = max(ai + bl + br for ai, bl, br in zip(a, [0.0] + b, b + [0.0])) + 1.0
-    x = 0.5 * (lo + hi) if guess is None else guess
-    last = hi - lo  # the last Newton step taken, or the bracket after a midpoint
-    ulps = 1.0
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if not lo < x < hi:
-            x = mid
-        d, step = probe(x)
-        if all(v < 0.0 for v in d):
-            hi = x
+        if pivots(mid)[-1] < 0.0:
+            hi = mid
         else:
-            lo = x
-        x -= step
-        if lo < x < hi and abs(step) <= 0.5 * last:
-            last = abs(step)
-        elif (ulps <= 16.0 and not lo < x < hi
-              and min(abs(x - lo), abs(x - hi)) <= ulps * math.ulp(x)):
-            x = hi - ulps * math.ulp(hi) if x >= hi else lo + ulps * math.ulp(lo)
-            ulps *= 2.0
-        else:
-            x = 0.5 * (lo + hi)
-            last = hi - lo
-    e = [-d for d in probe(hi)[0]]  # the pivots of hi I - T, all positive
+            lo = mid
+    e = [-d for d in pivots(hi)]  # the pivots of hi I - T, all positive
     z = [1.0] * len(a)
     for _ in range(2):
         for i in range(1, len(z)):
@@ -190,11 +151,10 @@ def _lanczos(product, x: np.ndarray, ax: np.ndarray,
     basis = np.empty((steps, k))
     alpha = np.empty(steps)
     beta = np.empty(steps)
-    # the sums go through einsum, not BLAS: on a shared 2-core machine a
-    # threaded 500 x 1000 matrix-vector product took 8 ms, einsum 0.4 ms
+    # the sums go through einsum, not BLAS: threaded BLAS stalls on a shared
+    # machine
     norm = math.sqrt(np.einsum("i,i", x, x))
     q, w = x / norm, ax / norm
-    theta = None
     for j in range(steps):
         if j:
             w = product(q)
@@ -211,7 +171,7 @@ def _lanczos(product, x: np.ndarray, ax: np.ndarray,
         # below TOL * |A q| the Krylov space is invariant and w is rounding noise
         final = j + 1 == steps or beta[j] <= TOL * scale
         if final or not j & (j + 1):
-            theta, s = _top_eigenpair(alpha[:j + 1], beta[:j], theta)
+            theta, s = _top_eigenpair(alpha[:j + 1], beta[:j])
             y = np.abs(np.einsum("i,ij", s, done))
             if final or beta[j] * s[-1] <= TOL * max(1.0, theta) * y.max():
                 break
@@ -225,7 +185,6 @@ def _component_power(src: np.ndarray, dst: np.ndarray,
     list (src ascending, every vertex a source) is src -> dst: shifted power
     iteration with a dense seed up to DENSE_SEED_MAX vertices, Lanczos steps
     above. Returns lambda, the vector, its residual and the iterations."""
-    tol = TOL
     starts = np.flatnonzero(np.diff(src, prepend=-1))
     shift = float(np.diff(starts, append=len(src)).max()) + 1.0
 
@@ -239,7 +198,7 @@ def _component_power(src: np.ndarray, dst: np.ndarray,
     while True:
         lam = float(x @ ax) / float(x @ x)
         resid = float(np.abs(ax - lam * x).max())
-        if resid <= tol * max(1.0, lam):
+        if resid <= TOL * max(1.0, lam):
             return lam, x, resid, it
         if resid < least:
             least, least_it = resid, it
@@ -248,12 +207,12 @@ def _component_power(src: np.ndarray, dst: np.ndarray,
                 f"the solve of a {k}-vertex component stagnated: no residual "
                 f"below the least, {least!r} at iteration {least_it}, in the "
                 f"{STAGNATION_WINDOW} iterations since; last lambda {lam!r}, "
-                f"tol*max(1, lambda) = {tol * max(1.0, lam)!r}")
+                f"tol*max(1, lambda) = {TOL * max(1.0, lam)!r}")
         if it >= ITERATION_CAP:
             raise ConvergenceError(
                 f"the solve of a {k}-vertex component did not converge in "
                 f"{ITERATION_CAP} iterations: last lambda {lam!r}, residual {resid!r} "
-                f"> tol*max(1, lambda) = {tol * max(1.0, lam)!r}")
+                f"> tol*max(1, lambda) = {TOL * max(1.0, lam)!r}")
         if k > DENSE_SEED_MAX:
             x, used = _lanczos(product, x, ax, ITERATION_CAP - it)
             it += used
@@ -368,25 +327,3 @@ def kst_lambda_bound(n: int, s: int, t: int) -> float:
     a = s + t - 3
     disc = a * a + 4 * ((s - 1) * (n - s + 1) - (s - 2) * (t - 1))
     return (a + math.sqrt(disc)) / 2.0
-
-
-class InterlacingCheck(NamedTuple):
-    bound: float
-    lam: float
-    tight: bool
-
-
-def check_interlacing_bound(h1: Graph, h2: Graph) -> InterlacingCheck:
-    """For a join of a d-regular h1 with h2 of max degree k, compare the
-    spectral radius of the join against the quotient eigenvalue of
-    [[d, n2], [n1, k]]. tight reports whether h2 is k-regular, the structural
-    condition for equality."""
-    degs1 = set(h1.degrees())
-    if len(degs1) > 1:
-        raise ValueError("first factor must be regular")
-    d = degs1.pop() if degs1 else 0
-    k = h2.max_degree()
-    bound = quotient_bound(QuotientMatrix(d, k, h1.n, h2.n))
-    lam = spectral_radius(join(h1, h2)).lam
-    tight = len(set(h2.degrees())) == 1
-    return InterlacingCheck(bound, lam, tight)

@@ -5,20 +5,20 @@ the atlas, built with the edge deletion and contraction moves below), the
 backtracker's candidate generator in its recursive form, a girth
 computation, a per-edge reference for Graph.relabel, a whole-bit reference
 for the edge arrays the spectral solve reads, the extremal constructions as
-join compositions, the plain Sturm bisection for the top eigenpair of a
-tridiagonal, random-graph builders,
+join compositions, the Sturm test of a tridiagonal, random-graph builders,
 the proof steps of the extremal arguments that the package itself never
-calls (Rayleigh-quotient edge perturbations, clique completion, the mu join
-and K_{m,m} facts, the star-free edge bound, the apex-clique split), and the
+calls (Rayleigh-quotient edge perturbations, the quotient bound of a join
+against its spectral radius, clique completion, the mu join and K_{m,m}
+facts, the star-free edge bound, the apex-clique split), and the
 two edge-count inequality probes that `sml report-problems` is checked
 against."""
 
 from __future__ import annotations
 
-import math
 import random
 from functools import cache
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from spectralminors import (
     FamilySpec,
     Graph,
     MuClass,
+    QuotientMatrix,
     canonical_key,
     classify_mu,
     complete,
@@ -41,10 +42,12 @@ from spectralminors import (
     join,
     kst_parts,
     path,
+    quotient_bound,
+    spectral_radius,
 )
 from spectralminors.canon import _key, _refine
 from spectralminors.cdv import mu_at_most
-from spectralminors.graph import _bits, _packed, _unpack
+from spectralminors.graph import _bits, _packed
 
 
 def automorphisms(rows) -> list[tuple[int, ...]]:
@@ -333,7 +336,8 @@ def relabel_by_edges(g: Graph, perm) -> Graph:
 def reference_edge_arrays(rows, n: int):
     """Reference for graph._edge_arrays: every row unpacked to all n of its
     bits, and the set ones read off row-major as (src, dst) index arrays."""
-    return np.divmod(np.flatnonzero(_unpack(_packed(rows, n), n)), n)
+    bits = np.unpackbits(_packed(rows, n), axis=1, count=n, bitorder="little")
+    return np.divmod(np.flatnonzero(bits), n)
 
 
 def kr_by_join(n: int, r: int) -> Graph:
@@ -365,36 +369,6 @@ def sturm_above(a, b2, x: float) -> bool:
             return False
         d = ai - x - bb / d
     return d < 0.0
-
-
-def reference_top_eigenpair(alpha: np.ndarray, beta: np.ndarray):
-    """Reference for spectral._top_eigenpair: plain bisection on the Sturm
-    test between the largest diagonal entry and Gershgorin's bound plus 1,
-    then two steps of inverse iteration from the all-ones vector."""
-    a = alpha.tolist()
-    b = beta.tolist()
-    b2 = [v * v for v in b]
-    lo = max(a)
-    hi = max(ai + bl + br for ai, bl, br in zip(a, [0.0] + b, b + [0.0])) + 1.0
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if sturm_above(a, b2, mid):
-            hi = mid
-        else:
-            lo = mid
-    d = [a[0] - hi]  # the pivots of T - hi I, all negative
-    for ai, bb in zip(a[1:], b2):
-        d.append(ai - hi - bb / d[-1])
-    e = [-v for v in d]
-    z = [1.0] * len(a)
-    for _ in range(2):
-        for i in range(1, len(z)):
-            z[i] += b[i - 1] / e[i - 1] * z[i - 1]
-        z[-1] /= e[-1]
-        for i in range(len(z) - 2, -1, -1):
-            z[i] = (z[i] + b[i] * z[i + 1]) / e[i]
-        norm = math.sqrt(math.fsum(v * v for v in z))
-        z = [v / norm for v in z]
-    return hi, np.array(z)
 
 
 def relabeled(rng: random.Random, g: Graph) -> Graph:
@@ -436,6 +410,28 @@ def rayleigh_delta(g: Graph, x, edges_removed, edges_added) -> float:
             raise ValueError(f"({u}, {v}) is already an edge of g")
         delta += 2.0 * x[u] * x[v]
     return delta / norm
+
+
+class InterlacingCheck(NamedTuple):
+    bound: float
+    lam: float
+    tight: bool
+
+
+def check_interlacing_bound(h1: Graph, h2: Graph) -> InterlacingCheck:
+    """For a join of a d-regular h1 with h2 of max degree k, compare the
+    spectral radius of the join against the quotient eigenvalue of
+    [[d, n2], [n1, k]]. tight reports whether h2 is k-regular, the structural
+    condition for equality."""
+    degs1 = set(h1.degrees())
+    if len(degs1) > 1:
+        raise ValueError("first factor must be regular")
+    d = degs1.pop() if degs1 else 0
+    k = h2.max_degree()
+    bound = quotient_bound(QuotientMatrix(d, k, h1.n, h2.n))
+    lam = spectral_radius(join(h1, h2)).lam
+    tight = len(set(h2.degrees())) == 1
+    return InterlacingCheck(bound, lam, tight)
 
 
 class HypothesisViolation(ValueError):

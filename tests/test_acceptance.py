@@ -31,13 +31,12 @@ from spectralminors.search import (
 )
 from spectralminors.spectral import (
     QuotientMatrix,
-    check_interlacing_bound,
     kst_lambda_bound,
     quotient_bound,
     spectral_radius,
 )
 
-from helpers import girth, oracle_has_minor
+from helpers import check_interlacing_bound, girth, oracle_has_minor
 
 _SCAN_CACHE = {}
 

@@ -4,10 +4,12 @@ cycle (minors, for one, must not reach up into cdv); and the package imports
 only the standard library, numpy and itself, so test oracles such as
 networkx never become runtime dependencies, and the tests only what the test
 extra declares besides; no module reads the
-environment; graph alone owns the packed bit format; and no exception
-handler swallows what it catches."""
+environment; graph alone owns the packed bit format; no exception
+handler swallows what it catches; and no source line quotes a timing, which
+goes stale on other hardware and belongs in the bench records."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -140,3 +142,17 @@ def test_no_handler_swallows_its_exception():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{line}" for line in _silent_handlers(tree)]
     assert not found, "handlers whose body is only continue or pass: " + ", ".join(found)
+
+
+# a figure in milliseconds, microseconds or seconds, or a machine's core count
+_TIMING = re.compile(r"\d\s?(ms|us)\b|\d s\b|2-core")
+
+
+def test_src_quotes_no_timings():
+    # docstrings and comments keep each invariant and reason; the measured
+    # figures live in the BENCH_*.json records and CHANGES.md
+    found = []
+    for path in sorted(Path(spectralminors.__file__).parent.glob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        found += [f"{path.name}:{i}" for i, line in enumerate(lines, 1) if _TIMING.search(line)]
+    assert not found, "timings quoted in the source: " + ", ".join(found)

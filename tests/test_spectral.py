@@ -13,7 +13,6 @@ import pytest
 from spectralminors import (
     ConvergenceError,
     QuotientMatrix,
-    check_interlacing_bound,
     complete,
     complete_bipartite,
     construct_cdv_extremal,
@@ -35,7 +34,7 @@ from spectralminors import (
 from spectralminors import graph, spectral
 from spectralminors.graph import Graph
 
-from helpers import (delete_edge, random_graph, rayleigh_delta, reference_top_eigenpair,
+from helpers import (check_interlacing_bound, delete_edge, random_graph, rayleigh_delta,
                      sturm_above)
 
 
@@ -287,14 +286,15 @@ def _seeded_tridiagonal(rng, trial):
 
 
 def test_sturm_test_is_monotone():
-    # _top_eigenpair may start its bracket anywhere because the floating-point
-    # Sturm test is monotone in x (Demmel, Dhillon and Ren 1995): it fails at
-    # every float below the least passing one and passes at every float above
+    # _top_eigenpair's bisection ends on the least passing float because the
+    # floating-point Sturm test is monotone in x (Demmel, Dhillon and Ren
+    # 1995): it fails at every float below that one and passes at every float
+    # above
     rng = np.random.default_rng(1995)
     for trial in range(200):
         alpha, beta = _seeded_tridiagonal(rng, trial)
         a, b2 = alpha.tolist(), (beta * beta).tolist()
-        top = reference_top_eigenpair(alpha, beta)[0]
+        top = spectral._top_eigenpair(alpha, beta)[0]
         xs = [top]
         below = above = top
         for _ in range(40):
@@ -308,49 +308,63 @@ def test_sturm_test_is_monotone():
         assert sturm_above(a, b2, top) and not sturm_above(a, b2, math.nextafter(top, -math.inf))
 
 
-def _same_pair(got, want) -> bool:
-    return got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+def assert_least_float_above(alpha, beta, got):
+    # the value is the least float that passes the Sturm test, and the
+    # vector is positive with unit norm
+    lam, s = got
+    a, b2 = alpha.tolist(), (beta * beta).tolist()
+    assert sturm_above(a, b2, lam) and not sturm_above(a, b2, math.nextafter(lam, -math.inf))
+    assert s.min() > 0.0 and abs(math.fsum(s * s) - 1.0) < 1e-14
 
 
 def test_top_eigenpair_matches_plain_bisection():
-    # value and vector bit for bit, from no first probe, from the top of a
-    # leading block (what the Lanczos run passes), and from anywhere
     rng = np.random.default_rng(30)
     for trial in range(400):
         alpha, beta = _seeded_tridiagonal(rng, trial)
-        want = reference_top_eigenpair(alpha, beta)
-        m = len(alpha)
-        k = int(rng.integers(1, m + 1))
-        guesses = [None, reference_top_eigenpair(alpha[:k], beta[:k - 1])[0],
-                   want[0] + float(rng.normal()) * (abs(want[0]) + 1.0)]
-        for guess in guesses:
-            assert _same_pair(spectral._top_eigenpair(alpha, beta, guess), want), (trial, guess)
+        assert_least_float_above(alpha, beta, spectral._top_eigenpair(alpha, beta))
 
 
-def test_top_eigenpair_matches_plain_bisection_on_benchmark_solves(monkeypatch):
-    # every call made while solving the graphs of the large-spectral
-    # benchmark, relabelled as its seed 1 relabels them, and P2100
-    calls = []
-    real = spectral._top_eigenpair
-
-    def recording(alpha, beta, guess=None):
-        got = real(alpha, beta, guess)
-        calls.append((alpha.copy(), beta.copy(), got))
-        return got
-
-    monkeypatch.setattr(spectral, "_top_eigenpair", recording)
+def _benchmark_solves():
+    """The graphs of the large-spectral benchmark, relabelled as its seed 1
+    relabels them, and P2100."""
     graphs = [construct_kr_extremal(1800, 32), construct_kr_extremal(900, 20),
               construct_kr_extremal(300, 8), construct_kst_extremal(2005, 6, 10),
               construct_kst_extremal(1010, 11, 20), construct_kst_extremal(500, 3, 7),
               construct_cdv_extremal(1200, 4), construct_cdv_extremal(400, 3),
               path(100), path(200), path(300)]
     rng = random.Random(1)
-    for g in graphs:
-        spectral_radius(g.relabel(rng.sample(range(g.n), g.n)))
-    spectral_radius(path(2100))
+    return [g.relabel(rng.sample(range(g.n), g.n)) for g in graphs] + [path(2100)]
+
+
+def test_top_eigenpair_matches_plain_bisection_on_benchmark_solves(monkeypatch):
+    # every call made while solving the benchmark graphs
+    calls = []
+    real = spectral._top_eigenpair
+
+    def recording(alpha, beta):
+        got = real(alpha, beta)
+        calls.append((alpha.copy(), beta.copy(), got))
+        return got
+
+    monkeypatch.setattr(spectral, "_top_eigenpair", recording)
+    for g in _benchmark_solves():
+        spectral_radius(g)
     assert len(calls) >= 50
     for alpha, beta, got in calls:
-        assert _same_pair(got, reference_top_eigenpair(alpha, beta)), len(alpha)
+        assert_least_float_above(alpha, beta, got)
+
+
+def test_lanczos_solves_keep_their_bits():
+    # SHA-256 over every field of the EigenResults of the benchmark graphs,
+    # taken while _top_eigenpair bracketed by safeguarded Newton steps: plain
+    # bisection ends on the same floats
+    digest = hashlib.sha256()
+    for g in _benchmark_solves():
+        res = spectral_radius(g)
+        digest.update(repr((res.lam, res.vector, res.residual, res.iterations,
+                            res.max_vertex)).encode())
+    assert digest.hexdigest() == (
+        "ba0c1d21a125caee80e9cc4f396c2fb58541d7b4bc96156febb00bbf0383bffe")
 
 
 def test_lanczos_basis_stays_under_its_cap(monkeypatch):
