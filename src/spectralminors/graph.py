@@ -245,7 +245,13 @@ class Graph:
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 
+    def _check_vertices(self, *vs: int) -> None:
+        for v in vs:
+            if not 0 <= v < self.n:
+                raise ValueError(f"vertex {v} out of range")
+
     def degree(self, v: int) -> int:
+        self._check_vertices(v)
         return self.rows[v].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
@@ -255,9 +261,11 @@ class Graph:
         return max((r.bit_count() for r in self.rows), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
+        self._check_vertices(u, v)
         return bool(self.rows[u] >> v & 1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
+        self._check_vertices(v)
         return tuple(_bits(self.rows[v]))
 
     def edges(self):
@@ -289,13 +297,10 @@ class Graph:
         """Subgraph induced on the given vertices, relabeled to 0..k-1 in
         ascending order of the original labels."""
         keep = sorted(set(vertices))
+        self._check_vertices(*keep)
         pos = {v: i for i, v in enumerate(keep)}
-        rows = [0] * len(keep)
-        for v in keep:
-            for u in _bits(self.rows[v]):
-                if u in pos:
-                    rows[pos[v]] |= 1 << pos[u]
-        return Graph(len(keep), tuple(rows))
+        return Graph.from_edges(len(keep), ((pos[u], pos[v]) for u, v in self.edges()
+                                            if u in pos and v in pos))
 
     def relabel(self, perm) -> "Graph":
         """Image under the permutation perm, perm[v] = new label of v, read
@@ -314,11 +319,7 @@ class Graph:
             for i, slab in zip(range(0, self.n, _BLOCK), moved):
                 new[to[i:i + _BLOCK]] = slab
             return Graph._from_packed(self.n, new)
-        rows = [0] * self.n
-        for v in range(self.n):
-            for u in _bits(self.rows[v]):
-                rows[perm[v]] |= 1 << perm[u]
-        return Graph(self.n, tuple(rows))
+        return Graph.from_edges(self.n, ((perm[u], perm[v]) for u, v in self.edges()))
 
 
 # ---------------------------------------------------------------------------
@@ -603,8 +604,7 @@ def join(g1: Graph, g2: Graph) -> Graph:
 
 
 def delete_vertex(g: Graph, v: int) -> Graph:
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
+    g._check_vertices(v)
     return g.induced_subgraph([u for u in range(g.n) if u != v])
 
 

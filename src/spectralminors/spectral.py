@@ -266,27 +266,15 @@ def two_walk_bound(g: Graph) -> int:
     row sum of a nonnegative matrix bounds its spectral radius, so
     lambda(g)^2 = lambda(A^2) <= w(g).
 
-    Computed from degree bit-planes: P_j holds the vertices whose degree has
-    bit j set, and the row sum at v is sum_j |rows[v] & P_j| << j, so no step
-    walks the edges one by one. Plain loops, as generator expressions cost
-    more than the popcounts on small graphs."""
+    Each row's neighbour degrees are summed over its set bits."""
     degs = [row.bit_count() for row in g.rows]
-    planes = [0] * max(degs, default=0).bit_length()
-    bit = 1
-    for d in degs:
-        j = 0
-        while d:
-            if d & 1:
-                planes[j] |= bit
-            d >>= 1
-            j += 1
-        bit <<= 1
     w = 0
     for row in g.rows:
-        s = j = 0
-        for p in planes:
-            s += (row & p).bit_count() << j
-            j += 1
+        s = 0
+        while row:
+            b = row & -row
+            s += degs[b.bit_length() - 1]
+            row ^= b
         if s > w:
             w = s
     return w
@@ -324,6 +312,4 @@ def kst_lambda_bound(n: int, s: int, t: int) -> float:
         raise ValueError(f"need 2 <= s <= t, got s={s}, t={t}")
     if n < s:
         raise ValueError(f"need n >= s, got n={n}")
-    a = s + t - 3
-    disc = a * a + 4 * ((s - 1) * (n - s + 1) - (s - 2) * (t - 1))
-    return (a + math.sqrt(disc)) / 2.0
+    return quotient_bound(QuotientMatrix(s - 2, t - 1, s - 1, n - s + 1))

@@ -100,6 +100,30 @@ def test_constructor_rejects_bad_input():
     assert Graph.empty(MAX_VERTICES).n == MAX_VERTICES
 
 
+# each accessor given a vertex v of g, in every position it takes one
+_ACCESSORS = {
+    "has_edge": lambda g, v: g.has_edge(v, 0),
+    "has_edge second": lambda g, v: g.has_edge(0, v),
+    "degree": lambda g, v: g.degree(v),
+    "neighbors": lambda g, v: g.neighbors(v),
+    "with_edge": lambda g, v: g.with_edge(v, 0),
+    "with_edge second": lambda g, v: g.with_edge(0, v),
+    "induced_subgraph": lambda g, v: g.induced_subgraph([0, v]),
+    "delete_vertex": lambda g, v: delete_vertex(g, v),
+}
+
+
+@pytest.mark.parametrize("name", _ACCESSORS)
+def test_accessors_reject_vertices_out_of_range(name):
+    # -1 would read row n - 1, and n a missing row or bit: each accessor
+    # raises instead, naming the vertex
+    for g in (complete_bipartite(2, 3), path(4)):
+        for v in (-1, g.n):
+            with pytest.raises(ValueError, match=re.escape(f"vertex {v} out of range")):
+                _ACCESSORS[name](g, v)
+        _ACCESSORS[name](g, g.n - 1)
+
+
 def test_rows_given_as_a_list_are_stored_as_a_tuple():
     # a graph built from a list of rows equals and hashes like its tuple
     # twin, so the caches keyed on graphs take it
@@ -154,6 +178,24 @@ def test_induced_subgraph_and_relabel():
     for bad in ([0, 1, 0], [0, 0, 1], [0, 1], [0, 1, 5], [0, 1, 2, 3]):
         with pytest.raises(ValueError, match=re.escape("permutation of range(3)")):
             path(3).relabel(bad)
+
+
+def test_induced_subgraph_matches_networkx():
+    # the subgraph networkx induces, relabelled in ascending order, on empty,
+    # full and random vertex sets, each given as a generator read once
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(288)
+    for n in (0, 7, WALK_MAX + 1, 300):
+        for _ in range(3):
+            g = random_graph(rng, n, rng.random())
+            ng = nx.Graph()
+            ng.add_nodes_from(range(n))
+            ng.add_edges_from(g.edges())
+            for keep in ([], list(range(n)), rng.sample(range(n), rng.randint(0, n))):
+                want = nx.convert_node_labels_to_integers(ng.subgraph(keep), ordering="sorted")
+                h = g.induced_subgraph(v for v in keep + keep[::2])
+                assert h.n == want.number_of_nodes() == len(keep)
+                assert edge_set(h) == {tuple(sorted(e)) for e in want.edges()}, (n, keep)
 
 
 # orders around the byte and word boundaries of the packed rows, both sides of

@@ -3,8 +3,8 @@ module's dependencies show in its header and no deferred import can hide a
 cycle (minors, for one, must not reach up into cdv); and the package imports
 only the standard library, numpy and itself, so test oracles such as
 networkx never become runtime dependencies, and the tests only what the test
-extra declares besides; no module reads the
-environment; graph alone owns the packed bit format; no exception
+extra declares besides; only graph and spectral import numpy; no module reads
+the environment; graph alone owns the packed bit format; no exception
 handler swallows what it catches; and no source line quotes a timing, which
 goes stale on other hardware and belongs in the bench records."""
 
@@ -51,6 +51,18 @@ def test_imports_only_stdlib_and_numpy():
         found += [f"{path.name}:{line} imports {root}"
                   for root, line in _imported_roots(tree) if root not in allowed]
     assert not found, "imports outside the standard library and numpy: " + ", ".join(found)
+
+
+def test_only_graph_and_spectral_import_numpy():
+    # numpy is most of a fresh process's import time, and the minor,
+    # planarity, canon, cdv, families, search and cli layers work on the bit
+    # rows alone: they reach numpy only through graph and spectral
+    importers = set()
+    for path in sorted(Path(spectralminors.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if any(root == "numpy" for root, _ in _imported_roots(tree)):
+            importers.add(path.name)
+    assert importers == {"graph.py", "spectral.py"}
 
 
 def _importorskips(tree):

@@ -626,6 +626,19 @@ def test_kst_bound_equals_quotient_form():
                 assert abs(quotient_bound(q) - kst_lambda_bound(n, s, t)) < 1e-12
 
 
+def test_kst_bound_solves_its_quadratic():
+    # the larger root of x^2 - (s+t-3) x - ((s-1)(n-s+1) - (s-2)(t-1)),
+    # checked without quotient_bound, which kst_lambda_bound calls
+    for s in range(2, 7):
+        for t in range(s, 7):
+            for n in range(s, 60):
+                a = s + t - 3
+                c = (s - 1) * (n - s + 1) - (s - 2) * (t - 1)
+                lam = kst_lambda_bound(n, s, t)
+                assert abs(lam * lam - a * lam - c) <= 1e-12 * lam * lam, (n, s, t)
+                assert lam > a / 2, (n, s, t)
+
+
 def test_interlacing_tight_for_regular_second_factor():
     # K2 join 2K2: all factors regular, the quotient eigenvalue is attained
     h1 = complete(2)
