@@ -274,10 +274,10 @@ class Graph:
                 yield (u, v)
 
     def with_edge(self, u: int, v: int) -> "Graph":
+        if self.has_edge(u, v):  # checks the range first; never true for u == v
+            return self
         if u == v:
             raise ValueError("loops not allowed")
-        if self.has_edge(u, v):
-            return self
         rows = list(self.rows)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
@@ -299,8 +299,9 @@ class Graph:
         keep = sorted(set(vertices))
         self._check_vertices(*keep)
         pos = {v: i for i, v in enumerate(keep)}
-        return Graph.from_edges(len(keep), ((pos[u], pos[v]) for u, v in self.edges()
-                                            if u in pos and v in pos))
+        mask = sum(1 << v for v in keep)
+        return Graph.from_edges(len(keep), ((pos[u], pos[v]) for u in keep
+                                            for v in _bits(self.rows[u] & mask) if u < v))
 
     def relabel(self, perm) -> "Graph":
         """Image under the permutation perm, perm[v] = new label of v, read
@@ -700,18 +701,15 @@ def recognize_residual(h: Graph) -> ResidualShape:
 
 
 def is_bipartite(g: Graph) -> bool:
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in _bits(g.rows[v]):
-                if color[u] < 0:
-                    color[u] = color[v] ^ 1
-                    stack.append(u)
-                elif color[u] == color[v]:
-                    return False
+    left = (1 << g.n) - 1
+    while left:
+        layer = left & -left
+        while layer:
+            left &= ~layer
+            nbrs = 0
+            for v in _bits(layer):
+                nbrs |= g.rows[v]
+            if nbrs & layer:  # an edge inside one breadth-first layer closes an odd cycle
+                return False
+            layer = nbrs & left
     return True

@@ -458,7 +458,8 @@ def y_to_delta(g: Graph, v: int) -> Graph:
     """Inverse move: v must have degree 3 with pairwise non-adjacent
     neighbors; delete v and join its neighbors into a triangle. Defined only
     in the edge-preserving case, the exact inverse of delta_to_y."""
-    if not (0 <= v < g.n and _is_y_vertex(g, v)):
+    g._check_vertices(v)
+    if not _is_y_vertex(g, v):
         raise ValueError(f"vertex {v} does not have degree 3 with pairwise "
                          "non-adjacent neighbors")
     a, b, c = g.neighbors(v)

@@ -31,6 +31,7 @@ from spectralminors import (
     path,
     petersen,
     recognize_residual,
+    y_to_delta,
 )
 from spectralminors import graph
 from spectralminors.graph import (
@@ -124,6 +125,17 @@ def test_accessors_reject_vertices_out_of_range(name):
         _ACCESSORS[name](g, g.n - 1)
 
 
+def test_with_edge_and_y_to_delta_check_the_range_first():
+    # -1 and n are out of range before the pair is a loop or the vertex has
+    # the wrong degree, so the error names the vertex
+    for g in (complete_bipartite(2, 3), complete_bipartite(1, 3), path(4)):
+        for v in (-1, g.n):
+            with pytest.raises(ValueError, match=re.escape(f"vertex {v} out of range")):
+                g.with_edge(v, v)
+            with pytest.raises(ValueError, match=re.escape(f"vertex {v} out of range")):
+                y_to_delta(g, v)
+
+
 def test_rows_given_as_a_list_are_stored_as_a_tuple():
     # a graph built from a list of rows equals and hashes like its tuple
     # twin, so the caches keyed on graphs take it
@@ -196,6 +208,70 @@ def test_induced_subgraph_matches_networkx():
                 h = g.induced_subgraph(v for v in keep + keep[::2])
                 assert h.n == want.number_of_nodes() == len(keep)
                 assert edge_set(h) == {tuple(sorted(e)) for e in want.edges()}, (n, keep)
+
+
+def _subgraph_by_edges(g, keep):
+    """Reference for Graph.induced_subgraph: the host's edges with both ends
+    kept, relabelled in ascending order."""
+    pos = {v: i for i, v in enumerate(sorted(keep))}
+    return Graph.from_edges(len(pos), ((pos[u], pos[v]) for u, v in g.edges()
+                                       if u in pos and v in pos))
+
+
+def test_induced_subgraph_reads_only_the_kept_rows(monkeypatch):
+    # a subgraph reads the rows it keeps, never the host's edge list: the
+    # subgraphs taken directly, by delete_vertex and by y_to_delta come out
+    # the same with Graph.edges unavailable, and ten vertices of a long path
+    # cost ten rows
+    rng = random.Random(34)
+    hosts = [random_graph(rng, n, rng.random()) for n in (1, 7, WALK_MAX + 1, 60)]
+    hosts += [complete_bipartite(1, 3), complete_bipartite(3, 3), petersen()]
+    cases = []
+    for g in hosts:
+        keep = rng.sample(range(g.n), rng.randint(0, g.n))
+        cases.append((lambda g=g, keep=keep: g.induced_subgraph(keep), _subgraph_by_edges(g, keep)))
+        for v in range(g.n):
+            rest = [u for u in range(g.n) if u != v]
+            cases.append((lambda g=g, v=v: delete_vertex(g, v), _subgraph_by_edges(g, rest)))
+            if g.degree(v) == 3 and not any(g.rows[u] & g.rows[v] for u in g.neighbors(v)):
+                a, b, c = g.neighbors(v)
+                want = _subgraph_by_edges(g.with_edge(a, b).with_edge(a, c).with_edge(b, c), rest)
+                cases.append((lambda g=g, v=v: y_to_delta(g, v), want))
+    assert sum(want.n == 9 for _, want in cases) >= 10  # the Petersen graph's Y-Delta moves
+
+    def no_edge_walk(self):
+        raise AssertionError("Graph.edges called")
+
+    monkeypatch.setattr(Graph, "edges", no_edge_walk)
+    for take, want in cases:
+        assert take() == want
+    assert path(20000).induced_subgraph(range(10)) == path(10)
+
+
+def test_is_bipartite_matches_networkx():
+    # every atlas graph; seeded sparse, dense and two-part graphs up to 300
+    # vertices, each two-part one also with one edge inside a part; and a
+    # union whose only odd cycle lies in its last component
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2297)
+    graphs = [g for n in range(8) for g in enumerate_graphs(n)]
+    for n in (4, 9, WALK_MAX + 1, 65, 120, 300):
+        graphs += [random_sparse_graph(rng, n, m) for m in (n // 2, n, 2 * n)]
+        graphs.append(random_graph(rng, n, rng.uniform(0.3, 0.9)))
+        side = rng.sample(range(n), n // 2)
+        two_part = Graph.from_edges(n, ((u, v) for u in side for v in range(n)
+                                        if v not in side and rng.random() < 0.5))
+        graphs += [two_part, two_part.with_edge(*side[:2])]
+    graphs.append(disjoint_union(path(4), independent(2), cycle(6), cycle(7)))
+    answers = []
+    for g in graphs:
+        ng = nx.Graph()
+        ng.add_nodes_from(range(g.n))
+        ng.add_edges_from(g.edges())
+        answers.append(is_bipartite(g))
+        assert answers[-1] == nx.is_bipartite(ng), encode_graph6(g)
+    assert len(graphs) == 1253 + 6 * 6 + 1 and answers.count(True) > 100 and answers.count(False) > 100
+    assert not answers[-1]
 
 
 # orders around the byte and word boundaries of the packed rows, both sides of
