@@ -45,17 +45,45 @@ and base64 both write big-endian six-bit groups, one character each, so a
 slab's triangle bits are packed into bytes and binascii writes or reads
 their characters in C, through a translation between the two alphabets,
 not through numpy packing six bits at a time.
+
+numpy loads on first use, not on import (_lazy_import): the first solve, or
+the first graph above WALK_MAX checked, relabelled or coded on the packed
+path, runs its import. Minor tests, the mu ladder, Delta-Y closures and the
+graph6 codec at n <= WALK_MAX work on the bit rows alone, so a process that
+does only these never imports numpy.
 """
 
 from __future__ import annotations
 
 import binascii
+import importlib.util
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from math import isqrt
+from types import ModuleType
 
-import numpy as np
+
+def _lazy_import(name: str) -> ModuleType:
+    """The module name as sys.modules holds it, or else found now and run on
+    its first attribute access (importlib.util.LazyLoader), from which on it
+    is the plain module. A module that cannot be found raises
+    ModuleNotFoundError here, not at that first access."""
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_import("numpy")
 
 # Largest vertex count representable by the 3-byte graph6 length escape.
 MAX_VERTICES = 258047
@@ -80,7 +108,7 @@ _B64_CHARS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _TO_G6 = bytes.maketrans(_B64_CHARS, _G6_CHARS)
 _TO_B64 = bytes.maketrans(_G6_CHARS, _B64_CHARS)
 # set bits of each byte value
-_POPCOUNT = np.array([v.bit_count() for v in range(256)], np.uint8)
+_POPCOUNT = bytes(v.bit_count() for v in range(256))
 
 
 def check_order(n: int) -> None:
@@ -352,7 +380,7 @@ def _edge_arrays(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
         flat = _packed(rows[i:i + _BLOCK], n).ravel()
         at = np.flatnonzero(flat)
         byte = flat[at]
-        count = _POPCOUNT[byte]
+        count = np.frombuffer(_POPCOUNT, np.uint8)[byte]
         row, col = np.divmod(at, nb)
         # bit b of the k-th nonzero byte is bit 8k + b of their unpacking
         bit = np.flatnonzero(np.unpackbits(byte, bitorder="little"))
@@ -370,8 +398,7 @@ def _packed_rows(packed: np.ndarray) -> tuple[int, ...]:
 # (shift, mask) steps that transpose the 8 x 8 bit matrix held in a word with
 # bit 8 * row + column (Hacker's Delight, 7-3): each swaps the bits at
 # distance shift selected by mask with their partners across the diagonal.
-_BIT_TRANSPOSE = tuple((np.uint64(shift), np.uint64(mask)) for shift, mask in (
-    (7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)))
+_BIT_TRANSPOSE = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 
 
 def _transpose_packed(packed: np.ndarray) -> np.ndarray:
@@ -387,6 +414,7 @@ def _transpose_packed(packed: np.ndarray) -> np.ndarray:
     # byte j of word [q, c] is byte c of row 8q + j: bit 8j + i is entry (8q + j, 8c + i)
     x = blocks.reshape(r, 8, w).transpose(0, 2, 1).copy().view("<u8")[..., 0]
     for shift, mask in _BIT_TRANSPOSE:
+        shift, mask = np.uint64(shift), np.uint64(mask)
         t = (x ^ (x >> shift)) & mask
         x ^= t ^ (t << shift)
     return x.T.copy().view(np.uint8).reshape(w, r, 8).transpose(0, 2, 1).reshape(8 * w, r)

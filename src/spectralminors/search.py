@@ -38,7 +38,6 @@ import csv
 import io
 import json
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass
 from functools import cache, partial
@@ -48,9 +47,13 @@ from typing import Iterable, Iterator
 
 from .cdv import mu_at_most
 from .families import FamilySpec
-from .graph import Graph, ResidualShape, encode_graph6, parse_graph6, recognize_residual
+from .graph import (Graph, ResidualShape, _lazy_import, encode_graph6, parse_graph6,
+                    recognize_residual)
 from .minors import has_minor
 from .spectral import kst_lambda_bound, spectral_radius, two_walk_bound
+
+# loaded by the first scan that starts a pool: a serial scan never imports it
+multiprocessing = _lazy_import("multiprocessing")
 
 ENUMERATION_LIMIT = 7
 MATCH_TOL = 1e-9
@@ -204,7 +207,9 @@ def scan_family(
 ) -> SearchReport:
     """Scan every graph from the source (internal enumeration when None),
     keep the family members, and report both maximizers against the
-    construction."""
+    construction. jobs < 1 raises ValueError."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     graphs = _resolve_source(n, source)
     # an order with no construction (every one needs n >= 1) fails here,
     # before any graph is scanned

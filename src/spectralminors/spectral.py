@@ -34,6 +34,9 @@ to the lowest-indexed component); the returned vector is zero off the
 winning component and has maximum entry 1. A lone vertex is never solved:
 the search starts from vertex 0's answer (lambda 0, vector e_0, no product),
 which every component with an edge beats, so an edgeless graph returns it.
+
+numpy is imported through graph._lazy_import: it loads at the first solve
+(or the first packed graph), so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -41,9 +44,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from .graph import Graph, _bits, _edge_arrays, _lazy_import
 
-from .graph import Graph, _bits, _edge_arrays
+np = _lazy_import("numpy")
 
 ITERATION_CAP = 10 ** 6
 TOL = 1e-12

@@ -209,6 +209,12 @@ def test_search_jobs_alone_set_the_workers(capsys, monkeypatch):
     assert parallel == serial
 
 
+def test_search_rejects_jobs_below_one(capsys):
+    argv = ["search", "--family", "kr", "--r", "5", "--n", "5", "--jobs", "-4"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (1, "", "error: jobs must be at least 1, got -4\n")
+
+
 def test_verify_text_equality_structure(capsys):
     g6 = encode_graph6(construct_kst_extremal(10, 2, 3))
     code, out, err = run_cli(["verify", "--family", "kst", "--s", "2", "--t", "3", g6], capsys)

@@ -391,6 +391,15 @@ def test_scan_without_construction_fails_before_scanning(monkeypatch):
         scan_family(FamilySpec.kst_minor_free(3, 4), 2, jobs=2)
 
 
+def test_scan_rejects_jobs_below_one(monkeypatch):
+    # a count below 1 names no worker count, so it fails before any graph is
+    # read rather than running serially
+    monkeypatch.setattr(search, "family_filter", lambda *args: pytest.fail("scanned"))
+    for jobs in (0, -4):
+        with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+            scan_family(FamilySpec.kr_minor_free(5), 5, jobs=jobs)
+
+
 def test_search_max_edges_mader_spot():
     # K_4-minor-free at n=6: 2(n-2) + 1 edges? no: (r-2)(n-r+2) + C(r-2, 2)
     report = scan_family(FamilySpec.kr_minor_free(4), 6)
