@@ -32,7 +32,9 @@ whatever the edge count:
 - n > DENSE_MAX: a Python walk over the set bits of the rows, O(E) steps of
   O(n / 64) word operations each and no n^2 memory. On large sparse graphs it
   is the only cheap path: the packed matrix of path(50000) alone would take
-  300 MiB, and that of Graph.empty(MAX_VERTICES) 7.8 GiB.
+  300 MiB, and that of Graph.empty(MAX_VERTICES) 7.8 GiB. This covers the
+  check and relabel only: above WALK_MAX, parse_graph6 fills the whole packed
+  n x ceil(n/8) matrix at every order, past DENSE_MAX too.
 
 The graph6 codec splits at WALK_MAX too. Every check of a graph6 string
 runs on its ASCII bytes, with no numpy call. Up to WALK_MAX vertices the edge
@@ -62,6 +64,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from math import isqrt
+from operator import index
 from types import ModuleType
 
 
@@ -125,6 +128,18 @@ def _bits(mask: int):
         mask ^= b
 
 
+def _nbhd(rows, mask: int) -> int:
+    """Union of rows[v] over the set bits v of mask: every vertex adjacent
+    to the vertex set mask, members of mask included. A plain loop, as in
+    _mask_edges: a generator over _bits costs twice as much here."""
+    nb = 0
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        nb |= rows[b.bit_length() - 1]
+    return nb
+
+
 def _components(rows, mask: int) -> list[int]:
     """Connected components of the subgraph induced on the vertex set mask,
     as bitmasks ordered by least vertex."""
@@ -132,10 +147,7 @@ def _components(rows, mask: int) -> list[int]:
     while mask:
         comp = frontier = mask & -mask
         while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= rows[v]
-            frontier = nxt & mask & ~comp
+            frontier = _nbhd(rows, frontier) & mask & ~comp
             comp |= frontier
         comps.append(comp)
         mask &= ~comp
@@ -259,10 +271,13 @@ class Graph:
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
         """Graph on n vertices with the given edges. n is checked before
-        edges is read, so the builders pass their edges as generators."""
+        edges is read, so the builders pass their edges as generators. Like
+        every outside label that enters a shift, each goes through
+        operator.index: a numpy integer shifts in fixed width, a float fails."""
         check_order(n)
         rows = [0] * n
         for u, v in edges:
+            u, v = index(u), index(v)
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             rows[u] |= 1 << v
@@ -290,7 +305,7 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertices(u, v)
-        return bool(self.rows[u] >> v & 1)
+        return bool(self.rows[u] >> index(v) & 1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertices(v)
@@ -302,6 +317,7 @@ class Graph:
                 yield (u, v)
 
     def with_edge(self, u: int, v: int) -> "Graph":
+        u, v = index(u), index(v)
         if self.has_edge(u, v):  # checks the range first; never true for u == v
             return self
         if u == v:
@@ -324,7 +340,7 @@ class Graph:
     def induced_subgraph(self, vertices) -> "Graph":
         """Subgraph induced on the given vertices, relabeled to 0..k-1 in
         ascending order of the original labels."""
-        keep = sorted(set(vertices))
+        keep = sorted(set(map(index, vertices)))
         self._check_vertices(*keep)
         pos = {v: i for i, v in enumerate(keep)}
         mask = sum(1 << v for v in keep)
@@ -335,7 +351,7 @@ class Graph:
         """Image under the permutation perm, perm[v] = new label of v, read
         once from any iterable. A perm that is not a permutation of range(n)
         raises ValueError."""
-        perm = list(perm)
+        perm = list(map(index, perm))
         if sorted(perm) != list(range(self.n)):
             raise ValueError(f"relabel needs a permutation of range({self.n})")
         if WALK_MAX < self.n <= DENSE_MAX:
@@ -734,9 +750,7 @@ def is_bipartite(g: Graph) -> bool:
         layer = left & -left
         while layer:
             left &= ~layer
-            nbrs = 0
-            for v in _bits(layer):
-                nbrs |= g.rows[v]
+            nbrs = _nbhd(g.rows, layer)
             if nbrs & layer:  # an edge inside one breadth-first layer closes an odd cycle
                 return False
             layer = nbrs & left

@@ -90,10 +90,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from operator import index
 
 from .canon import canonical_key
-from .graph import (Graph, _bits, _components, _mask_edges, complete, complete_bipartite,
-                    delete_vertex, parse_graph6)
+from .graph import (Graph, _bits, _components, _mask_edges, _nbhd, complete,
+                    complete_bipartite, delete_vertex, parse_graph6)
 from .planarity import _is_plane_rotation, _lr_rotation
 
 
@@ -117,7 +118,7 @@ def verify_witness(h: Graph, g: Graph, w: MinorWitness) -> bool:
         if not bs:
             return False
         m = 0
-        for v in bs:
+        for v in map(index, bs):
             if not 0 <= v < g.n:
                 return False
             m |= 1 << v
@@ -128,13 +129,8 @@ def verify_witness(h: Graph, g: Graph, w: MinorWitness) -> bool:
     for m in masks:
         if len(_components(g.rows, m)) != 1:
             return False
-    for a, b in h.edges():
-        nb = 0
-        for v in _bits(masks[a]):
-            nb |= g.rows[v]
-        if not nb & masks[b]:
-            return False
-    return True
+    nbhd = [_nbhd(g.rows, m) for m in masks]
+    return all(nbhd[a] & masks[b] for a, b in h.edges())
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +255,7 @@ def _backtrack(hvs, earlier, owed, g_rows, g_act: int):
         cap = free.bit_count() - (hn - i - 1)
         for b in _candidates(g_rows, free, cap, reqs):
             blocks[i] = b
-            nb = 0
-            rest = b
-            while rest:
-                vb = rest & -rest
-                rest ^= vb
-                nb |= g_rows[vb.bit_length() - 1]
-            nbhd[i] = nb & ~b
+            nbhd[i] = _nbhd(g_rows, b) & ~b
             if place(i + 1, free & ~b):
                 return True
         return False
@@ -434,7 +424,7 @@ def triangles(g: Graph):
 def delta_to_y(g: Graph, tri) -> Graph:
     """Replace triangle tri by a new degree-3 vertex adjacent to its corners.
     The new vertex gets label n; edge count is preserved."""
-    u, v, w = tri
+    u, v, w = map(index, tri)
     if not (g.has_edge(u, v) and g.has_edge(u, w) and g.has_edge(v, w)):
         raise ValueError(f"{tri} is not a triangle")
     rows = list(g.rows) + [0]
@@ -451,7 +441,7 @@ def delta_to_y(g: Graph, tri) -> Graph:
 def _is_y_vertex(g: Graph, v: int) -> bool:
     """Whether v has degree 3 and pairwise non-adjacent neighbors."""
     nbrs = g.rows[v]
-    return nbrs.bit_count() == 3 and not any(g.rows[u] & nbrs for u in _bits(nbrs))
+    return nbrs.bit_count() == 3 and not _nbhd(g.rows, nbrs) & nbrs
 
 
 def y_to_delta(g: Graph, v: int) -> Graph:

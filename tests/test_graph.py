@@ -11,6 +11,7 @@ import pytest
 from spectralminors import (
     MAX_VERTICES,
     Graph,
+    MinorWitness,
     canonical_key,
     complete,
     complete_bipartite,
@@ -19,6 +20,7 @@ from spectralminors import (
     construct_kst_extremal,
     cycle,
     delete_vertex,
+    delta_to_y,
     disjoint_union,
     encode_graph6,
     has_minor,
@@ -31,6 +33,7 @@ from spectralminors import (
     path,
     petersen,
     recognize_residual,
+    verify_witness,
     y_to_delta,
 )
 from spectralminors import graph
@@ -190,6 +193,43 @@ def test_induced_subgraph_and_relabel():
     for bad in ([0, 1, 0], [0, 0, 1], [0, 1], [0, 1, 5], [0, 1, 2, 3]):
         with pytest.raises(ValueError, match=re.escape("permutation of range(3)")):
             path(3).relabel(bad)
+
+
+def test_numpy_labels_act_as_python_ints():
+    # a numpy integer shifts in fixed width and has no bit_length: each label
+    # from outside is converted where it enters a shift, so numpy labels give
+    # the graphs and verdicts Python ints give, on both sides of WALK_MAX and
+    # past DENSE_MAX, where one edge is cheap
+    for n in (WALK_MAX, WALK_MAX + 1, 100, DENSE_MAX + 1):
+        rng = random.Random(n)
+        edges = [(0, n - 1), (0, n // 2), (n // 2, n - 1), (1, n // 2)]
+        edges += [tuple(rng.sample(range(n), 2)) for _ in range(20)]
+        g = Graph.from_edges(n, edges)
+        assert Graph.from_edges(n, [(np.int64(u), np.int64(v)) for u, v in edges]) == g
+        perm = rng.sample(range(n), n)
+        assert g.relabel(np.array(perm)) == g.relabel(perm)
+        keep = sorted({0, 1, n // 2, n - 1} | set(rng.sample(range(n), 10)))
+        assert g.induced_subgraph(np.array(keep)) == g.induced_subgraph(keep)
+        assert g.with_edge(np.int64(2), np.int64(n - 2)) == g.with_edge(2, n - 2)
+        for u, v in edges + [(2, n - 2), (n - 1, 1)]:
+            assert g.has_edge(np.int64(u), np.int64(v)) == g.has_edge(u, v)
+        for sets in (({0}, {n - 1}), ({1}, {n - 1}), ({1, n // 2}, {n - 1})):
+            want = verify_witness(complete(2), g, MinorWitness(tuple(map(frozenset, sets))))
+            got = verify_witness(complete(2), g, MinorWitness(tuple(frozenset(map(np.int64, s))
+                                                                   for s in sets)))
+            assert got == want
+        tri = (0, n // 2, n - 1)
+        assert delta_to_y(g, tuple(map(np.int64, tri))) == delta_to_y(g, tri)
+    assert path(10).relabel(np.random.default_rng(1).permutation(10)).edge_count == 9
+    # a float label fails on its conversion, before any row is built
+    index_error = "cannot be interpreted as an integer"
+    for build in (lambda: path(3).relabel([2.0, 1.0, 0.0]),
+                  lambda: Graph.from_edges(3, [(0, 1.0)]),
+                  lambda: path(3).induced_subgraph([0.0, 1]),
+                  lambda: path(3).with_edge(0, 2.0),
+                  lambda: verify_witness(complete(1), path(3), MinorWitness((frozenset({1.0}),)))):
+        with pytest.raises(TypeError, match=index_error):
+            build()
 
 
 def test_induced_subgraph_matches_networkx():

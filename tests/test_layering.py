@@ -5,10 +5,10 @@ only the standard library, numpy and itself, so test oracles such as
 networkx never become runtime dependencies, and the tests only what the test
 extra declares besides; only graph and spectral import numpy, and only
 through graph._lazy_import, so importing the package does not load it; no
-module reads the environment; graph alone owns the packed bit format; no
-exception handler swallows what it catches; and no source line quotes a
-timing, which goes stale on other hardware and belongs in the bench
-records."""
+module reads the environment; graph alone owns the packed bit format and
+the walk that ORs rows over a vertex set; no exception handler swallows
+what it catches; and no source line quotes a timing, which goes stale on
+other hardware and belongs in the bench records."""
 
 import ast
 import re
@@ -157,6 +157,29 @@ def test_graph_alone_owns_the_bit_format():
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             found += [f"{path.name}:{line} uses {name}" for name, line in _bit_format_uses(tree)]
     assert not found, "bit format used outside graph.py: " + ", ".join(found)
+
+
+def _row_unions(tree):
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.BitOr)
+                and isinstance(node.value, ast.Subscript)):
+            base = node.value.value
+            name = base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
+            if name.endswith("rows"):
+                yield node.lineno
+
+
+def test_graph_alone_walks_neighbourhoods():
+    # the union of the bit rows over a vertex set, its neighbourhood, is
+    # graph._nbhd's: no other module ORs a row into an accumulator, so the
+    # flood, the bipartite layers, the backtracker and verify_witness share
+    # one walk
+    found = []
+    for path in sorted(Path(spectralminors.__file__).parent.glob("*.py")):
+        if path.name != "graph.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            found += [f"{path.name}:{line}" for line in _row_unions(tree)]
+    assert not found, "rows ORed outside graph._nbhd: " + ", ".join(found)
 
 
 def _silent_handlers(tree):

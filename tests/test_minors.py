@@ -112,6 +112,56 @@ def test_verify_witness_rejects_tampering():
     assert not verify_witness(h, g, MinorWitness((frozenset({0}), frozenset({1}), frozenset({3}))))
 
 
+def _witness_by_networkx(nx, h, ng, sets):
+    """verify_witness's rules read off networkx: one nonempty branch set per
+    H-vertex, pairwise disjoint, within range, each connected, and an edge
+    between the sets of every H-edge."""
+    if len(sets) != h.n or not all(sets) or sum(map(len, sets)) != len(set().union(*sets)):
+        return False
+    if not all(v in ng for s in sets for v in s):
+        return False
+    if not all(nx.is_connected(ng.subgraph(s)) for s in sets):
+        return False
+    return all(any(ng.has_edge(x, y) for x in sets[a] for y in sets[b]) for a, b in h.edges())
+
+
+def test_verify_witness_agrees_with_networkx_on_tampered_witnesses():
+    # the witnesses has_minor finds for K4, K2,3, K5 and K3,3 in a seeded
+    # sample of the n = 7 atlas, and every single-vertex tampering of each:
+    # a vertex moved to another branch set, dropped, or a free vertex added
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(3636)
+    patterns = (complete(4), complete_bipartite(2, 3), complete(5), complete_bipartite(3, 3))
+    hosts = rng.sample(list(enumerate_graphs(7)), 150)
+    witnesses = 0
+    answers = []
+    for g in hosts:
+        ng = nx.Graph()
+        ng.add_nodes_from(range(g.n))
+        ng.add_edges_from(g.edges())
+        for h in patterns:
+            w = has_minor(h, g)
+            if w is None:
+                continue
+            witnesses += 1
+            sets = [set(s) for s in w.branch_sets]
+            used = set().union(*sets)
+            cases = [sets]
+            for i, s in enumerate(sets):
+                for v in s:
+                    cases.append([t - {v} if j == i else t for j, t in enumerate(sets)])
+                    cases += [[t - {v} if j == i else t | {v} if j == k else t
+                               for j, t in enumerate(sets)] for k in range(h.n) if k != i]
+            for u in set(range(g.n)) - used:
+                cases += [[t | {u} if j == k else t for j, t in enumerate(sets)]
+                          for k in range(h.n)]
+            for case in cases:
+                got = verify_witness(h, g, MinorWitness(tuple(map(frozenset, case))))
+                assert got == _witness_by_networkx(nx, h, ng, case), (encode_graph6(g), h, case)
+                answers.append(got)
+    assert witnesses > 100 and answers.count(True) > 500 and answers.count(False) > 2000
+
+
 def test_oracle_agreement_spot():
     rng = random.Random(606)
     for trial in range(250):
